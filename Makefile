@@ -95,9 +95,13 @@ bench-record: build
 # wall-clock drift only warns — lane workers may only move wall time.
 # The zero-alloc test pins the disabled wall-probe path first: every
 # simulation pays the nil-probe hook sites, so they must stay a single
-# pointer compare — no allocations (DESIGN.md §14).
+# pointer compare — no allocations (DESIGN.md §14). The allocation
+# budgets pin the engine hot path: one unobserved StartD2D+Wait and one
+# clover-strong cell, so a label or name formatted per transfer fails
+# here (DESIGN.md §11).
 bench-check: build
 	$(GO) test -run TestWallprobeNilPathZeroAlloc ./internal/sim/
+	$(GO) test -run TestAllocBudget ./internal/gpusim/ ./internal/workload/
 	$(GO) run ./cmd/pvcprof bench -jobs 0 -lane-jobs 0 -out bench-current.json
 	$(GO) run ./cmd/pvcprof diff BENCH_baseline.json bench-current.json
 

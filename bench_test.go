@@ -206,6 +206,34 @@ func BenchmarkRegistry_AllParallel(b *testing.B) {
 	benchCells(b, 0, runner.Cells(sweep.DefaultRegistry()))
 }
 
+// --- Cluster: the 30 clover-strong and allreduce cells — the only
+// cells that spend real engine and fabric time — on one serial runner.
+// Host time and allocations per simulated event are judged here. ---
+
+func BenchmarkCluster_Serial(b *testing.B) {
+	var cells []runner.Cell
+	for _, name := range []string{"clover-strong", "allreduce"} {
+		f, ok := sweep.FamilyByName(name)
+		if !ok {
+			b.Fatalf("sweep family %q missing", name)
+		}
+		ws, err := f.Expand(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range ws {
+			for _, sys := range w.Systems() {
+				cells = append(cells, runner.Cell{System: sys, Workload: w})
+			}
+		}
+	}
+	if len(cells) != 30 {
+		b.Fatalf("cluster families expand to %d cells, want 30", len(cells))
+	}
+	b.ReportAllocs()
+	benchCells(b, 1, cells)
+}
+
 func BenchmarkRegistry_CacheHit(b *testing.B) {
 	reg := sweep.DefaultRegistry()
 	w, ok := reg.Get("dgemm")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -557,11 +558,16 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// execute may already be finishing the run: read its status under
+	// the run's lock.
+	rn.mu.Lock()
+	status := rn.status
+	rn.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]any{
 		"id":       id,
-		"status":   rn.status,
+		"status":   status,
 		"cells":    len(cells),
 		"trace_id": rn.trace.ID(),
 		"links": map[string]string{
@@ -832,22 +838,34 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.statusOf(rn))
 }
 
+// handleList serves {"runs":[...]} — one summary per run, sorted by
+// id — writing each summary as it is encoded rather than building the
+// whole body.
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)
 	s.mu.Unlock()
 	sort.Strings(ids)
-	out := make([]statusJSON, 0, len(ids))
-	for _, id := range ids {
+	w.Header().Set("Content-Type", "application/json")
+	io.WriteString(w, `{"runs":[`)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i, id := range ids {
 		s.mu.Lock()
 		rn := s.runs[id]
 		s.mu.Unlock()
 		st := s.statusOf(rn)
 		st.Cells = nil // summaries only
-		out = append(out, st)
+		buf.Reset()
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		if err := enc.Encode(st); err != nil {
+			return
+		}
+		w.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"runs": out})
+	io.WriteString(w, "]}\n")
 }
 
 func (s *server) handleRunMetrics(w http.ResponseWriter, r *http.Request) {
@@ -970,7 +988,7 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "history disabled; start pvcd with -history")
 		return
 	}
-	recs := s.journal.Records()
+	recs := s.journal.Encoded()
 	if lim := r.URL.Query().Get("limit"); lim != "" {
 		n, err := strconv.Atoi(lim)
 		if err != nil || n < 0 {
@@ -981,13 +999,25 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			recs = recs[len(recs)-n:]
 		}
 	}
+	path, _ := json.Marshal(s.journal.Path()) // a string always encodes
+	// The body is what encoding a map of these four keys would give —
+	// keys sorted, records null for an empty journal — written record by
+	// record from the journal's stored encodings.
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"schema_version": history.SchemaVersion,
-		"path":           s.journal.Path(),
-		"count":          len(recs),
-		"records":        recs,
-	})
+	fmt.Fprintf(w, `{"count":%d,"path":%s,"records":`, len(recs), path)
+	if recs == nil {
+		io.WriteString(w, "null")
+	} else {
+		io.WriteString(w, "[")
+		for i, rec := range recs {
+			if i > 0 {
+				io.WriteString(w, ",")
+			}
+			w.Write(rec)
+		}
+		io.WriteString(w, "]")
+	}
+	fmt.Fprintf(w, `,"schema_version":%d}`+"\n", history.SchemaVersion)
 }
 
 // handleReqtrace serves the retained request/run traces as Chrome

@@ -14,7 +14,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pvcsim/internal/obs"
 	"pvcsim/internal/sim"
@@ -28,7 +27,7 @@ import (
 type Constraint struct {
 	Name     string
 	capacity float64 // bytes per second
-	flows    map[*Flow]struct{}
+	flows    int     // flows currently crossing it
 }
 
 // Capacity returns the constraint's capacity.
@@ -36,22 +35,21 @@ func (c *Constraint) Capacity() units.ByteRate { return units.ByteRate(c.capacit
 
 // ActiveFlows returns the number of flows currently crossing the
 // constraint.
-func (c *Constraint) ActiveFlows() int { return len(c.flows) }
+func (c *Constraint) ActiveFlows() int { return c.flows }
 
 // Flow is one in-flight transfer. Its progress state belongs to the
 // network's coordination lane:
 //
 //laneguard:pinned lane0
 type Flow struct {
-	name      string
+	label     Label
 	bound     string // binding-resource tag carried onto the recorded span
 	remaining float64
 	rate      float64
 	cs        []*Constraint
-	done      *sim.Signal
+	done      sim.Signal
 	finished  bool
 	owner     sim.LaneID    // the network's lane; Wait migrates there first
-	seq       uint64        // admission order, breaks finish-order ties
 	size      float64       // total bytes, for the recorded span
 	start     units.Seconds // when the flow entered the network
 }
@@ -80,10 +78,10 @@ func (f *Flow) Rate() units.ByteRate { return units.ByteRate(f.rate) }
 type Network struct {
 	eng     *sim.Engine
 	lane    sim.LaneID
-	flows   map[*Flow]struct{}
+	flows   []*Flow // live flows in admission order
+	drained []*Flow // reschedule's scratch buffer, empty between calls
 	lastT   units.Seconds
 	gen     uint64 // invalidates stale completion events
-	seq     uint64 // admission counter for deterministic finish order
 	epsilon float64
 	obs     obs.Recorder
 }
@@ -104,23 +102,21 @@ func (n *Network) Enter(p *sim.Proc) { p.MoveTo(n.lane) }
 // span and admitted flows are counted (fabric.flows, fabric.bytes).
 func (n *Network) Observe(r obs.Recorder) { n.obs = r }
 
-// admit registers a flow with the network, stamping its admission order
-// and entry time.
+// admit registers a flow with the network, stamping its entry time and
+// appending it to the admission-ordered flow set.
 func (n *Network) admit(f *Flow) {
-	n.seq++
-	f.seq = n.seq
 	f.start = n.now()
 	for _, c := range f.cs {
-		c.flows[f] = struct{}{}
+		c.flows++
 	}
-	n.flows[f] = struct{}{}
+	n.flows = append(n.flows, f)
 	obs.Count(n.obs, "fabric.flows", 1)
 	obs.Count(n.obs, "fabric.bytes", f.size)
 }
 
 // NewNetwork creates a flow network bound to the engine.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{eng: eng, flows: make(map[*Flow]struct{}), epsilon: 1e-6}
+	return &Network{eng: eng, epsilon: 1e-6}
 }
 
 // NewConstraint registers a capacity. Non-positive capacities are
@@ -129,7 +125,7 @@ func (n *Network) NewConstraint(name string, cap units.ByteRate) (*Constraint, e
 	if cap <= 0 {
 		return nil, fmt.Errorf("fabric: constraint %q needs positive capacity", name)
 	}
-	return &Constraint{Name: name, capacity: float64(cap), flows: make(map[*Flow]struct{})}, nil
+	return &Constraint{Name: name, capacity: float64(cap)}, nil
 }
 
 // MustConstraint is NewConstraint for static topologies where a failure is
@@ -145,7 +141,7 @@ func (n *Network) MustConstraint(name string, cap units.ByteRate) *Constraint {
 // Transfer moves size bytes across the constraints, blocking the calling
 // process until completion. A positive latency is charged up front (wire
 // and software setup time), matching how a single message experiences it.
-func (n *Network) Transfer(p *sim.Proc, name string, size units.Bytes, latency units.Seconds, cs ...*Constraint) {
+func (n *Network) Transfer(p *sim.Proc, label Label, size units.Bytes, latency units.Seconds, cs ...*Constraint) {
 	if latency > 0 {
 		p.Hold(latency) // wire latency burns on the caller's own lane
 	}
@@ -153,7 +149,7 @@ func (n *Network) Transfer(p *sim.Proc, name string, size units.Bytes, latency u
 		return
 	}
 	n.Enter(p)
-	f := n.start(name, "", size, cs)
+	f := n.start(label, "", size, cs)
 	if f.finished {
 		return
 	}
@@ -163,21 +159,22 @@ func (n *Network) Transfer(p *sim.Proc, name string, size units.Bytes, latency u
 // Start begins a non-blocking transfer after an optional latency delay and
 // returns its Flow; callers wait on it with Flow.Wait. It is the primitive
 // under MPI_Isend-style overlapped communication in the mpirt package.
-func (n *Network) Start(name string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
-	return n.StartBound(name, "", size, latency, cs...)
+func (n *Network) Start(label Label, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
+	return n.StartBound(label, "", size, latency, cs...)
 }
 
 // StartBound is Start with a binding-resource tag: the flow's recorded
 // span carries bound, attributing the transfer when no enclosing span
 // covers it (the overlapped-communication path, where the flow span is
 // the only record of the transfer).
-func (n *Network) StartBound(name, bound string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
+func (n *Network) StartBound(label Label, bound string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
 	if size <= 0 && latency <= 0 {
-		f := &Flow{name: name, bound: bound, owner: n.lane, done: n.doneSignal(name), finished: true}
+		f := n.newFlow(label, bound, 0, nil)
+		f.finished = true
 		return f
 	}
 	if latency > 0 {
-		f := &Flow{name: name, bound: bound, owner: n.lane, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
+		f := n.newFlow(label, bound, size, cs)
 		n.eng.Schedule(latency, func() {
 			if f.remaining <= 0 {
 				n.completePending(f)
@@ -189,7 +186,7 @@ func (n *Network) StartBound(name, bound string, size units.Bytes, latency units
 		})
 		return f
 	}
-	return n.start(name, bound, size, cs)
+	return n.start(label, bound, size, cs)
 }
 
 // completePending finishes a latency-only flow.
@@ -208,16 +205,26 @@ func (f *Flow) Wait(p *sim.Proc) {
 	f.done.Wait(p)
 }
 
-// doneSignal builds a flow's completion signal, named so deadlock
-// diagnostics can report "blocked: 1 on signal flow h2d:0".
-func (n *Network) doneSignal(name string) *sim.Signal {
-	return sim.NewNamedSignal(n.eng, "flow "+name)
+// newFlow builds an unadmitted flow with its embedded completion
+// signal. The signal is named after the flow's label, so deadlock
+// diagnostics can report "blocked: 1 on signal flow h2d:0.0", but the
+// name is built only if such a report asks for it.
+func (n *Network) newFlow(label Label, bound string, size units.Bytes, cs []*Constraint) *Flow {
+	f := &Flow{label: label, bound: bound, owner: n.lane, remaining: float64(size), size: float64(size), cs: cs}
+	f.done = sim.SignalNamedBy(n.eng, (*flowDone)(f))
+	return f
 }
+
+// flowDone is a Flow seen as the namer of its completion signal.
+type flowDone Flow
+
+// SignalName implements sim.Namer.
+func (d *flowDone) SignalName() string { return "flow " + d.label.String() }
 
 // start registers a flow and returns it; flows with no constraints
 // complete instantly.
-func (n *Network) start(name, bound string, size units.Bytes, cs []*Constraint) *Flow {
-	f := &Flow{name: name, bound: bound, owner: n.lane, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
+func (n *Network) start(label Label, bound string, size units.Bytes, cs []*Constraint) *Flow {
+	f := n.newFlow(label, bound, size, cs)
 	if len(cs) == 0 {
 		f.finished = true
 		return f
@@ -238,7 +245,7 @@ func (n *Network) advance() {
 	if dt <= 0 {
 		return
 	}
-	for f := range n.flows {
+	for _, f := range n.flows {
 		f.remaining -= f.rate * dt
 		if f.remaining < 0 {
 			f.remaining = 0
@@ -256,30 +263,36 @@ func (n *Network) reschedule() {
 	for {
 		// Complete drained flows first (may cascade: their departure
 		// frees bandwidth for the rest, handled by the rate recompute).
-		// Finish in admission order, not map order: simultaneous
-		// completions fire their signals in a reproducible sequence, so
-		// downstream wakeups — and any recorded trace — are identical
-		// run to run.
-		var drained []*Flow
-		for f := range n.flows {
+		// One pass splits the flow set into live flows, kept in place,
+		// and drained ones. The set is in admission order, so drained
+		// flows finish in that order: simultaneous completions fire their
+		// signals in a reproducible sequence, and downstream wakeups —
+		// and any recorded trace — are identical run to run.
+		live := n.flows[:0]
+		for _, f := range n.flows {
 			if f.remaining <= n.epsilon {
-				drained = append(drained, f)
+				n.drained = append(n.drained, f)
+			} else {
+				live = append(live, f)
 			}
 		}
-		sort.Slice(drained, func(i, j int) bool { return drained[i].seq < drained[j].seq })
-		for _, f := range drained {
+		clear(n.flows[len(live):])
+		n.flows = live
+		for i, f := range n.drained {
 			n.finish(f)
+			n.drained[i] = nil
 		}
+		n.drained = n.drained[:0]
 		if len(n.flows) == 0 {
 			return
 		}
 		// Equal-share rates: share of each constraint divided by its
 		// current flow count; a flow runs at its minimum share.
 		soonest := math.Inf(1)
-		for f := range n.flows {
+		for _, f := range n.flows {
 			rate := math.Inf(1)
 			for _, c := range f.cs {
-				share := c.capacity / float64(len(c.flows))
+				share := c.capacity / float64(c.flows)
 				if share < rate {
 					rate = share
 				}
@@ -310,7 +323,7 @@ func (n *Network) reschedule() {
 			return
 		}
 		// Sub-resolution completions: drain them in place and loop.
-		for f := range n.flows {
+		for _, f := range n.flows {
 			if f.rate > 0 && f.remaining/f.rate < resolution {
 				f.remaining = 0
 			}
@@ -318,18 +331,22 @@ func (n *Network) reschedule() {
 	}
 }
 
+// finish completes a flow that reschedule has already taken out of the
+// flow set. The span — and with it the label text — is built only when
+// a recorder is attached.
 func (n *Network) finish(f *Flow) {
 	f.finished = true
 	f.rate = 0
 	for _, c := range f.cs {
-		delete(c.flows, f)
+		c.flows--
 	}
-	delete(n.flows, f)
-	obs.Emit(n.obs, obs.Span{
-		Name: f.name, Cat: "flow", GPU: -1, Stack: -1,
-		Start: f.start, End: n.now(), Bytes: units.Bytes(f.size),
-		Bound: f.bound,
-	})
+	if n.obs != nil {
+		n.obs.Span(obs.Span{
+			Name: f.label.String(), Cat: "flow", GPU: -1, Stack: -1,
+			Start: f.start, End: n.now(), Bytes: units.Bytes(f.size),
+			Bound: f.bound,
+		})
+	}
 	f.done.Fire()
 }
 

@@ -29,12 +29,12 @@ func (p Path) Plus(lat units.Seconds) Path {
 
 // StartPath begins a non-blocking transfer along a composed route,
 // tagged with its binding resource; callers wait with Flow.Wait.
-func (n *Network) StartPath(name, bound string, size units.Bytes, p Path) *Flow {
-	return n.StartBound(name, bound, size, p.Latency, p.Constraints...)
+func (n *Network) StartPath(label Label, bound string, size units.Bytes, p Path) *Flow {
+	return n.StartBound(label, bound, size, p.Latency, p.Constraints...)
 }
 
 // TransferPath moves size bytes along a composed route, blocking the
 // calling process until completion.
-func (n *Network) TransferPath(proc *sim.Proc, name string, size units.Bytes, p Path) {
-	n.Transfer(proc, name, size, p.Latency, p.Constraints...)
+func (n *Network) TransferPath(proc *sim.Proc, label Label, size units.Bytes, p Path) {
+	n.Transfer(proc, label, size, p.Latency, p.Constraints...)
 }

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"strconv"
 
 	"pvcsim/internal/fabric"
 	"pvcsim/internal/obs"
@@ -25,6 +26,7 @@ type Cluster struct {
 	nodes   []*Machine
 	nics    []*fabric.Link
 	global  *fabric.Constraint
+	remote  [][]fabric.Path // remote[src][dst]: the inter-node route, built once
 	sink    obs.Recorder
 	laneSet *obs.LaneSet // coordination-lane buffer (NIC hops, fabric flows)
 }
@@ -46,15 +48,25 @@ func NewClusterWithLanes(spec *topology.ClusterSpec, shards int) (*Cluster, erro
 	c := &Cluster{Eng: eng, Net: net, Spec: spec}
 	gpusPerNode := spec.Node.GPUCount
 	for i := 0; i < spec.NodeCount; i++ {
-		m, err := newOn(eng, net, spec.Node, fmt.Sprintf("node%d/", i), i*gpusPerNode, shards)
+		prefix := "node" + strconv.Itoa(i) + "/"
+		m, err := newOn(eng, net, spec.Node, prefix, i*gpusPerNode, shards)
 		if err != nil {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, m)
-		c.nics = append(c.nics, fabric.NewLink(net, fmt.Sprintf("node%d/nic", i),
+		c.nics = append(c.nics, fabric.NewLink(net, prefix+"nic",
 			spec.Network.InjectionBW, spec.Network.DuplexFactor, 0))
 	}
 	c.global = net.MustConstraint("net/global", spec.Network.GlobalBW)
+	c.remote = make([][]fabric.Path, spec.NodeCount)
+	for src := range c.remote {
+		c.remote[src] = make([]fabric.Path, spec.NodeCount)
+		for dst := range c.remote[src] {
+			if dst != src {
+				c.remote[src][dst] = c.remotePath(src, dst)
+			}
+		}
+	}
 	return c, nil
 }
 
@@ -102,7 +114,8 @@ func (c *Cluster) netBuf() obs.Recorder {
 
 // remotePath composes the inter-node route between two nodes: source
 // NIC injection, the shared switch-fabric pool, destination NIC
-// ejection, plus the network's end-to-end message latency.
+// ejection, plus the network's end-to-end message latency. The cluster
+// builds every pair's route once, at construction.
 func (c *Cluster) remotePath(src, dst int) fabric.Path {
 	return fabric.Path{}.
 		Via(c.nics[src].Dir(false)...).
@@ -125,8 +138,8 @@ func (c *Cluster) StartRemote(src int, from topology.StackID, dst int, to topolo
 		// NIC-to-NIC hops: every switch traversal plus the two ends.
 		b.Add("fabric.hops", float64(c.Spec.Network.Hops+2))
 	}
-	name := fmt.Sprintf("n2n:n%d/%v->n%d/%v", src, from, dst, to)
-	return c.Net.StartPath(name, prof.BoundFabricNode, size, c.remotePath(src, dst)), nil
+	label := fabric.NodeRouteLabel("n2n", src, from, dst, to)
+	return c.Net.StartPath(label, prof.BoundFabricNode, size, c.remote[src][dst]), nil
 }
 
 // Run drives the simulation to completion, then merges every node's and

@@ -8,6 +8,7 @@ package gpusim
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"pvcsim/internal/fabric"
@@ -251,12 +252,13 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 	m.poolBidir = net.MustConstraint(prefix+"host/bidir-pool", node.HostBidirPool)
 	gpu := node.GPU
 	for i := 0; i < node.GPUCount; i++ {
+		name := prefix + "card" + strconv.Itoa(i)
 		c := &card{
-			pcie: fabric.NewLink(net, fmt.Sprintf("%scard%d/pcie", prefix, i),
+			pcie: fabric.NewLink(net, name+"/pcie",
 				gpu.HostLink.Sustained(), gpu.HostLink.DuplexFactor, gpu.HostLink.Latency),
 		}
 		if gpu.SubCount > 1 {
-			c.internal = fabric.NewLink(net, fmt.Sprintf("%scard%d/internal", prefix, i),
+			c.internal = fabric.NewLink(net, name+"/internal",
 				gpu.InternalLink.Sustained(), gpu.InternalLink.DuplexFactor, gpu.InternalLink.Latency)
 		}
 		m.cards = append(m.cards, c)
@@ -275,7 +277,7 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 				continue
 			}
 			key := pairKey(a, b)
-			m.peerLinks[key] = fabric.NewLink(net, fmt.Sprintf("%speer%v-%v", prefix, key.a, key.b),
+			m.peerLinks[key] = fabric.NewLink(net, prefix+"peer"+key.a.String()+"-"+key.b.String(),
 				spec.Sustained(), spec.DuplexFactor, spec.Latency)
 		}
 	}
@@ -379,7 +381,7 @@ func (s *Stack) MemcpyH2D(p *sim.Proc, size units.Bytes) {
 	c := s.m.cards[s.ID.GPU]
 	cs := append(c.pcie.Dir(false), s.m.poolH2D, s.m.poolBidir)
 	start := p.Now()
-	s.m.Net.Transfer(p, fmt.Sprintf("h2d:%v", s.ID), size, c.pcie.Latency, cs...)
+	s.m.Net.Transfer(p, fabric.StackLabel("h2d", s.ID), size, c.pcie.Latency, cs...)
 	s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "h2d", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
 }
 
@@ -388,7 +390,7 @@ func (s *Stack) MemcpyD2H(p *sim.Proc, size units.Bytes) {
 	c := s.m.cards[s.ID.GPU]
 	cs := append(c.pcie.Dir(true), s.m.poolD2H, s.m.poolBidir)
 	start := p.Now()
-	s.m.Net.Transfer(p, fmt.Sprintf("d2h:%v", s.ID), size, c.pcie.Latency, cs...)
+	s.m.Net.Transfer(p, fabric.StackLabel("d2h", s.ID), size, c.pcie.Latency, cs...)
 	s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "d2h", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
 }
 
@@ -414,7 +416,7 @@ func (s *Stack) MemcpyD2D(p *sim.Proc, dst topology.StackID, size units.Bytes) e
 		}
 		rev := s.ID.Stack > dst.Stack
 		s.m.countHops(p.Lane(), kind)
-		s.m.Net.Transfer(p, fmt.Sprintf("d2d:%v->%v", s.ID, dst), size, c.internal.Latency, c.internal.Dir(rev)...)
+		s.m.Net.Transfer(p, fabric.RouteLabel("d2d", s.ID, dst), size, c.internal.Latency, c.internal.Dir(rev)...)
 		s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
 		return nil
 	case topology.RemoteDirect, topology.RemoteExtraHop:
@@ -432,7 +434,7 @@ func (s *Stack) MemcpyD2D(p *sim.Proc, dst topology.StackID, size units.Bytes) e
 			}
 		}
 		s.m.countHops(p.Lane(), kind)
-		s.m.Net.Transfer(p, fmt.Sprintf("d2d:%v->%v", s.ID, dst), size, latency, cs...)
+		s.m.Net.Transfer(p, fabric.RouteLabel("d2d", s.ID, dst), size, latency, cs...)
 		s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
 		return nil
 	default:
@@ -481,7 +483,7 @@ func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, 
 	switch kind {
 	case topology.SameStack:
 		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
-		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v", s.ID), routeBound(kind), 0, t), nil
+		return s.m.Net.StartBound(fabric.StackLabel("d2d", s.ID), routeBound(kind), 0, t), nil
 	case topology.LocalStack:
 		c := s.m.cards[s.ID.GPU]
 		if c.internal == nil {
@@ -489,7 +491,7 @@ func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, 
 		}
 		rev := s.ID.Stack > dst.Stack
 		s.m.countHops(s.m.Net.Lane(), kind)
-		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v->%v", s.ID, dst), routeBound(kind), size, c.internal.Latency, c.internal.Dir(rev)...), nil
+		return s.m.Net.StartBound(fabric.RouteLabel("d2d", s.ID, dst), routeBound(kind), size, c.internal.Latency, c.internal.Dir(rev)...), nil
 	case topology.RemoteDirect, topology.RemoteExtraHop:
 		link := s.m.peerLink(s.ID, dst)
 		rev := s.ID.GPU > dst.GPU
@@ -503,7 +505,7 @@ func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, 
 			}
 		}
 		s.m.countHops(s.m.Net.Lane(), kind)
-		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v->%v", s.ID, dst), routeBound(kind), size, latency, cs...), nil
+		return s.m.Net.StartBound(fabric.RouteLabel("d2d", s.ID, dst), routeBound(kind), size, latency, cs...), nil
 	default:
 		return nil, fmt.Errorf("gpusim: unroutable path %v -> %v", s.ID, dst)
 	}

@@ -58,26 +58,40 @@ type Record struct {
 // Journal is an append-only JSONL file plus its in-memory replica.
 // Open loads what previous processes wrote; Append is durable before
 // it returns. Safe for concurrent use.
+//
+// The replica holds each record as its encoded JSON line — the bytes
+// json.Marshal produces for the Record — not as a decoded Record with
+// its Sim map: the line is smaller, and it is what GET /v1/history
+// serves anyway.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	recs []Record
+	mu    sync.Mutex
+	path  string
+	f     *os.File
+	lines [][]byte // one json.Marshal(Record) per record, in append order
 }
 
 // Open reads an existing journal (strictly — a corrupt line is an
 // error naming its line number, not a silent skip) and opens it for
-// appending, creating it if absent.
+// appending, creating it if absent. Loaded records are re-encoded, so
+// the replica holds the same canonical bytes Append would have stored.
 func Open(path string) (*Journal, error) {
 	recs, err := Read(path)
 	if err != nil {
 		return nil, err
 	}
+	var lines [][]byte
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return nil, fmt.Errorf("history: marshal: %w", err)
+		}
+		lines = append(lines, line)
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("history: %w", err)
 	}
-	return &Journal{path: path, f: f, recs: recs}, nil
+	return &Journal{path: path, f: f, lines: lines}, nil
 }
 
 // Append stamps the record's schema version if unset, writes it as one
@@ -102,23 +116,40 @@ func (j *Journal) Append(r Record) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("history: sync %s: %w", j.path, err)
 	}
-	j.recs = append(j.recs, r)
+	j.lines = append(j.lines, line)
 	return nil
 }
 
-// Records returns a copy of all records in append order (oldest
-// first), including those loaded from disk at Open.
-func (j *Journal) Records() []Record {
+// Encoded returns every record's JSON encoding in append order (oldest
+// first), including those loaded from disk at Open; nil when the
+// journal is empty. The outer slice is a copy; the encodings are shared
+// and must not be modified.
+func (j *Journal) Encoded() [][]byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]Record(nil), j.recs...)
+	return append([][]byte(nil), j.lines...)
+}
+
+// Records decodes every record in append order (oldest first),
+// including those loaded from disk at Open; nil when the journal is
+// empty.
+func (j *Journal) Records() []Record {
+	var recs []Record
+	for _, line := range j.Encoded() {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			panic(fmt.Sprintf("history: stored record does not decode: %v", err))
+		}
+		recs = append(recs, r)
+	}
+	return recs
 }
 
 // Len reports the record count.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.recs)
+	return len(j.lines)
 }
 
 // Path returns the journal's file path.

@@ -7,6 +7,7 @@ package mpirt
 
 import (
 	"fmt"
+	"strconv"
 
 	"pvcsim/internal/fabric"
 	"pvcsim/internal/gpusim"
@@ -76,7 +77,7 @@ func NewComm(m *gpusim.Machine, nranks int) (*Comm, error) {
 			rank:    r,
 			Stack:   st,
 			Binding: bindings[r],
-			newMsg:  sim.NewNamedSignal(m.Eng, fmt.Sprintf("rank%d inbox", r)),
+			newMsg:  sim.NewNamedSignal(m.Eng, "rank"+strconv.Itoa(r)+" inbox"),
 		})
 	}
 	return c, nil
@@ -103,7 +104,7 @@ func NewClusterComm(cl *gpusim.Cluster, nranks int, place topology.Placement) (*
 			Node:    bindings[r].Node,
 			Stack:   st,
 			Binding: bindings[r].Local,
-			newMsg:  sim.NewNamedSignal(cl.Eng, fmt.Sprintf("rank%d inbox", r)),
+			newMsg:  sim.NewNamedSignal(cl.Eng, "rank"+strconv.Itoa(r)+" inbox"),
 		})
 	}
 	return c, nil
@@ -136,7 +137,7 @@ func (c *Comm) Cluster() *gpusim.Cluster { return c.cl }
 func (c *Comm) Spawn(body func(p *sim.Proc, r *Rank)) error {
 	for _, r := range c.ranks {
 		rr := r
-		c.eng.GoOn(rr.Stack.Lane(), fmt.Sprintf("rank%d", rr.rank), func(p *sim.Proc) {
+		c.eng.GoOn(rr.Stack.Lane(), "rank"+strconv.Itoa(rr.rank), func(p *sim.Proc) {
 			body(p, rr)
 		})
 	}

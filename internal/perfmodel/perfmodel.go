@@ -15,6 +15,7 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pvcsim/internal/hw"
 	"pvcsim/internal/mem"
@@ -120,8 +121,13 @@ type Calibration struct {
 	scaling map[scaleKey]scaleAnchor
 }
 
-// DefaultCalibration returns the table anchored to the paper's Tables II
-// and IV. Each entry's comment cites the measurement that fixes it.
+// sharedCalibration is the default table that every model from New
+// reads. It is built once and never written.
+var sharedCalibration = sync.OnceValue(DefaultCalibration)
+
+// DefaultCalibration returns a fresh copy of the table anchored to the
+// paper's Tables II and IV, which the caller may modify. Each entry's
+// comment cites the measurement that fixes it.
 func DefaultCalibration() *Calibration {
 	c := &Calibration{
 		eff:     map[effKey]float64{},
@@ -249,8 +255,11 @@ func (c *Calibration) ScalingEff(v Variant, kind Kind, prec hw.Precision, n, ful
 type Model struct {
 	Node *topology.NodeSpec
 	Gov  *power.Governor
-	Cal  *Calibration
-	Var  Variant
+	// Cal is the calibration table. Models from New share one default
+	// table, which is read-only: to change an entry, assign a copy from
+	// DefaultCalibration and modify that.
+	Cal *Calibration
+	Var Variant
 
 	obs  obs.Recorder
 	prof prof.Recorder
@@ -270,12 +279,13 @@ func (m *Model) Observe(r obs.Recorder) {
 // Like Observe, nil detaches and keeps the hot path free.
 func (m *Model) SetProfiler(r prof.Recorder) { m.prof = r }
 
-// New builds a model for the node with the default calibration.
+// New builds a model for the node with the shared, read-only default
+// calibration.
 func New(node *topology.NodeSpec) *Model {
 	return &Model{
 		Node: node,
 		Gov:  power.NewGovernor(node.GPU),
-		Cal:  DefaultCalibration(),
+		Cal:  sharedCalibration(),
 		Var:  VariantOf(node.System),
 		mem:  mem.NewHierarchy(&node.GPU.Sub),
 	}

@@ -150,6 +150,40 @@ func TestEfficiencyFallbacks(t *testing.T) {
 	}
 }
 
+// TestSharedCalibrationIsolated guards the default table that models
+// from New share: changing a DefaultCalibration copy, or a copy a model
+// was given, must not reach any model built by New.
+func TestSharedCalibrationIsolated(t *testing.T) {
+	node := topology.NewAurora()
+	before := New(node)
+	want := before.Cal.Efficiency(before.Var, KindGEMM, hw.FP64)
+	rate := before.SustainedRate(KindGEMM, hw.FP64)
+
+	c := DefaultCalibration()
+	c.SetEfficiency(before.Var, KindGEMM, hw.FP64, want/2)
+	tuned := New(node)
+	tuned.Cal = c
+
+	after := New(node)
+	if before.Cal != after.Cal {
+		t.Error("models from New do not share one default calibration")
+	}
+	if c == before.Cal {
+		t.Fatal("DefaultCalibration returned the shared table, not a copy")
+	}
+	for name, m := range map[string]*Model{"before": before, "after": after} {
+		if got := m.Cal.Efficiency(m.Var, KindGEMM, hw.FP64); got != want {
+			t.Errorf("%s: shared efficiency = %v after SetEfficiency on a copy, want %v", name, got, want)
+		}
+		if got := m.SustainedRate(KindGEMM, hw.FP64); got != rate {
+			t.Errorf("%s: sustained rate = %v, want %v", name, got, rate)
+		}
+	}
+	if got := tuned.SustainedRate(KindGEMM, hw.FP64); got >= rate {
+		t.Errorf("model with the tuned copy: rate %v, want below %v", got, rate)
+	}
+}
+
 func TestSubdeviceTimeRoofline(t *testing.T) {
 	m := New(topology.NewAurora())
 	// Pure compute profile: 17.03e12 flops of FP64 FMA ≈ 1 s + launch.

@@ -102,8 +102,8 @@ type lane struct {
 	queue   eventHeap
 	seq     uint64
 	parked  chan struct{}
-	live    int            // processes currently homed on this lane
-	blocked map[string]int // blocker label → waiter count, for deadlock diagnostics
+	live    int     // processes currently homed on this lane
+	blocked []*Proc // processes blocked on this lane's signals and resources
 
 	outbox []message     // migrations emitted this round, in emission order
 	capT   units.Seconds // emission cap: first outbox emission time this round
@@ -139,11 +139,10 @@ const shrinkMinCap = 64
 
 func (e *Engine) addLane() *lane {
 	l := &lane{
-		id:      LaneID(len(e.lanes)),
-		eng:     e,
-		parked:  make(chan struct{}),
-		blocked: map[string]int{},
-		capT:    units.Seconds(math.Inf(1)),
+		id:     LaneID(len(e.lanes)),
+		eng:    e,
+		parked: make(chan struct{}),
+		capT:   units.Seconds(math.Inf(1)),
 	}
 	e.lanes = append(e.lanes, l)
 	return l
@@ -226,13 +225,23 @@ func (l *lane) recycle(ev *event) {
 	}
 }
 
-// block/unblock maintain the per-blocker waiter counts behind the
-// deadlock diagnostics.
-func (l *lane) block(label string) { l.blocked[label]++ }
-func (l *lane) unblock(label string) {
-	if l.blocked[label]--; l.blocked[label] <= 0 {
-		delete(l.blocked, label)
-	}
+// block records that p waits on b; unblock clears it. Both run on the
+// blocker's lane, which holds the blocked list behind the deadlock
+// diagnostics. Removal swaps the last entry into the freed slot, so the
+// list is unordered; deadlockErr sorts what it reports.
+func (l *lane) block(p *Proc, b blocker) {
+	p.blocker, p.blockIdx = b, len(l.blocked)
+	l.blocked = append(l.blocked, p)
+}
+
+func (l *lane) unblock(p *Proc) {
+	last := len(l.blocked) - 1
+	moved := l.blocked[last]
+	l.blocked[p.blockIdx] = moved
+	moved.blockIdx = p.blockIdx
+	l.blocked[last] = nil
+	l.blocked = l.blocked[:last]
+	p.blocker = nil
 }
 
 // trace emits a tracer callback. Single-lane engines call straight

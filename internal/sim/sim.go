@@ -149,17 +149,20 @@ func (e *Engine) runSerial() {
 
 // deadlockErr builds the Run error when live processes remain: the lane
 // totals plus a sorted breakdown of which signals/resources hold waiters.
+// Blocker labels are built here, only when a deadlock is reported.
 func (e *Engine) deadlockErr() error {
 	live := 0
-	blocked := map[string]int{}
 	for _, l := range e.lanes {
 		live += l.live
-		for name, n := range l.blocked {
-			blocked[name] += n
-		}
 	}
 	if live == 0 {
 		return nil
+	}
+	blocked := map[string]int{}
+	for _, l := range e.lanes {
+		for _, p := range l.blocked {
+			blocked[p.blocker.blockerLabel()]++
+		}
 	}
 	msg := fmt.Sprintf("sim: deadlock at t=%v: %d process(es) blocked with empty event queue",
 		e.Now(), live)
@@ -234,13 +237,19 @@ func (e *Engine) Pending() int {
 // Proc is a cooperative simulation process. Its methods may only be called
 // from within the process's own body function.
 type Proc struct {
-	eng    *Engine
-	name   string
-	lane   *lane
-	moveTo LaneID // final destination while a migration is in flight
-	resume chan struct{}
-	done   chan struct{}
+	eng      *Engine
+	name     string
+	lane     *lane
+	moveTo   LaneID  // final destination while a migration is in flight
+	blocker  blocker // the signal or resource the process waits on; nil when not blocked
+	blockIdx int     // the process's slot in its lane's blocked list
+	resume   chan struct{}
+	done     chan struct{}
 }
+
+// blocker is what a process can be blocked on: a Signal or a Resource.
+// Its label names it in deadlock diagnostics.
+type blocker interface{ blockerLabel() string }
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
@@ -318,8 +327,13 @@ type Signal struct {
 	eng     *Engine
 	lane    LaneID
 	name    string
+	namer   Namer // builds the name on demand when set
 	waiters []*Proc
 }
+
+// Namer supplies a signal's name on demand. Signals created per transfer
+// use it so the name is built only when a deadlock report reads it.
+type Namer interface{ SignalName() string }
 
 // NewSignal creates an unnamed signal bound to the engine's lane 0.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
@@ -328,12 +342,22 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 // diagnostics ("blocked: 2 on signal halo-ready").
 func NewNamedSignal(e *Engine, name string) *Signal { return &Signal{eng: e, name: name} }
 
+// SignalNamedBy returns a signal on lane 0 whose name namer builds only
+// when a deadlock report needs it. It returns the signal by value so an
+// owner can embed it and save an allocation; the owner must not copy it
+// once processes wait on it.
+func SignalNamedBy(e *Engine, namer Namer) Signal { return Signal{eng: e, namer: namer} }
+
 // blockerLabel names the signal in deadlock diagnostics.
 func (s *Signal) blockerLabel() string {
-	if s.name == "" {
+	name := s.name
+	if s.namer != nil {
+		name = s.namer.SignalName()
+	}
+	if name == "" {
 		return "signal (unnamed)"
 	}
-	return "signal " + s.name
+	return "signal " + name
 }
 
 // Wait blocks the calling process until the next Fire, migrating it to
@@ -341,21 +365,22 @@ func (s *Signal) blockerLabel() string {
 func (s *Signal) Wait(p *Proc) {
 	p.MoveTo(s.lane)
 	s.waiters = append(s.waiters, p)
-	p.lane.block(s.blockerLabel())
+	p.lane.block(p, s)
 	p.yield()
 }
 
 // Fire schedules a wake-up, at the current time, for every process
-// currently waiting.
+// currently waiting. The waiter list keeps its backing array for the
+// next round of waiters.
 func (s *Signal) Fire() {
-	woken := s.waiters
-	s.waiters = nil
 	l := s.eng.lanes[s.lane]
-	for _, p := range woken {
+	for i, p := range s.waiters {
 		wp := p
-		l.unblock(s.blockerLabel())
+		l.unblock(wp)
 		l.schedule(0, func() { l.wake(wp) })
+		s.waiters[i] = nil
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // Waiting reports the number of processes currently blocked on the signal.
@@ -402,7 +427,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.queue = append(r.queue, p)
-	p.lane.block(r.blockerLabel())
+	p.lane.block(p, r)
 	p.lane.trace("wait %s on %s (%d queued)", p.name, r.name, len(r.queue))
 	p.yield()
 	// When woken, the unit has already been transferred to us by Release.
@@ -429,7 +454,7 @@ func (r *Resource) Release() {
 		head := r.queue[0]
 		r.queue = r.queue[1:]
 		l := r.eng.lanes[r.lane]
-		l.unblock(r.blockerLabel())
+		l.unblock(head)
 		l.schedule(0, func() { l.wake(head) })
 		return // unit transferred, inUse unchanged
 	}
