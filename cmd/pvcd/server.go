@@ -609,7 +609,7 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	col := obs.NewCollector()
 	r.Observe(col)
 	// Wall-clock self-profiling and request tracing ride along on every
-	// run: wallprof totals feed the engine-health metrics scraped at
+	// run: wallprof totals feed the runner phase histogram scraped at
 	// /metrics, and the run's trace records queue-wait / run /
 	// cache-lookup spans per cell. Pure side channels — the simulated
 	// artifacts below are unaffected.
@@ -641,13 +641,6 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	refineTraceSpans(rn.trace, wallRep)
 	wt := wallRep.Totals()
 	s.tele.ObserveEngine(telemetry.EngineRunStats{
-		Rounds:           wt.Rounds,
-		Barriers:         wt.Barriers,
-		MailboxMsgs:      wt.MailboxMsgs,
-		BusySeconds:      wt.BusySeconds,
-		StallSeconds:     wt.StallSeconds,
-		BarrierSeconds:   wt.BarrierSeconds,
-		LaneUtilization:  wt.LaneUtilization,
 		BuildSeconds:     wt.BuildSeconds,
 		SimulateSeconds:  wt.SimulateSeconds,
 		CacheWaitSeconds: wt.CacheWaitSeconds,
@@ -1022,7 +1015,7 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 
 // handleReqtrace serves the retained request/run traces as Chrome
 // trace-event JSON — the third Perfetto track next to the simulated
-// (obs) and wall-lane (wallprof) exports.
+// (obs) and wall-time (wallprof) exports.
 func (s *server) handleReqtrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.tracer.WriteChromeTrace(w); err != nil {

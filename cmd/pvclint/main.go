@@ -9,8 +9,6 @@
 //	seededrand    no global math/rand draws; inject a seeded *rand.Rand
 //	floateq       no exact ==/!= on floats in model code
 //	recorderguard every obs/prof Recorder call dominated by a nil check
-//	laneaffinity  lane-pinned state (//laneguard:pinned) written only from its lane
-//	singlewriter  obs.LaneSet mutated host-side only; no captured-slice/map writes from lanes
 //	boundtag      constant bound tags drawn from the closed prof taxonomy
 //	timeunit      no raw float64 seconds crossing call boundaries in model code
 //

@@ -201,8 +201,8 @@ func TestReportAndFlameFromProbe(t *testing.T) {
 // does it.
 func writeWallProfile(t *testing.T, path string) {
 	t.Helper()
-	// clover-scaling genuinely drives the cell's event-lane engine (the
-	// FOM workloads are analytic), so the export carries lane stats.
+	// clover-scaling genuinely drives the cell's event engine (the FOM
+	// workloads are analytic), so the export carries engine stats.
 	w, ok := sweep.DefaultRegistry().Get("clover-scaling")
 	if !ok {
 		t.Fatal("clover-scaling not registered")
@@ -237,7 +237,7 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 	if code := run([]string{"wall", "report", a}, &out, &errb); code != 0 {
 		t.Fatalf("wall report: exit %d, stderr:\n%s", code, errb.String())
 	}
-	for _, want := range []string{"Wall-clock self-profile", "LANE", "UTIL", "STALL", "barriers"} {
+	for _, want := range []string{"Wall-clock self-profile", "clover-scaling @ Aurora", "SIMULATE_MS", "ENGINE_MS", "EVENTS"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("wall report missing %q:\n%s", want, out.String())
 		}
@@ -247,8 +247,8 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 	if code := run([]string{"wall", "flame", a}, &out, &errb); code != 0 {
 		t.Fatalf("wall flame: exit %d, stderr:\n%s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), ";simulate;lane 0;busy ") {
-		t.Fatalf("wall flame missing lane stack:\n%s", out.String())
+	if !strings.Contains(out.String(), ";simulate;engine ") {
+		t.Fatalf("wall flame missing engine stack:\n%s", out.String())
 	}
 
 	// Two wall profiles of the same run differ only in wall time: the
@@ -276,12 +276,15 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 
 func TestDiffNotesMissingWallStats(t *testing.T) {
 	dir := t.TempDir()
-	// Old record carries engine self-profile stats; new one predates
-	// them. The diff must say so instead of comparing against zero.
+	// Old record carries self-profile stats (and event-lane stats from
+	// the retired parallel engine, which decoding ignores); new one
+	// predates them. The diff must say so instead of comparing against
+	// zero.
 	withStats := writeFile(t, dir, "with.json",
 		`[{"schema_version": 1, "date": "2026-01-01",
   "sim": {"cloverleaf:grind/cell@Aurora": 100},
   "wall": {"run_ms": 100, "jobs": 1, "cells": 1,
+           "build_ms": 10, "simulate_ms": 80,
            "lane_busy_ms": 80, "lane_stall_ms": 5, "barrier_ms": 2,
            "engine_rounds": 40, "mailbox_msgs": 12, "mean_lane_util": 0.8}}]`)
 	without := writeFile(t, dir, "without.json", benchJSON(100))
@@ -289,12 +292,46 @@ func TestDiffNotesMissingWallStats(t *testing.T) {
 	if code := run([]string{"diff", withStats, without}, &out, &errb); code != 0 {
 		t.Fatalf("missing wall stats must not fail: exit %d\n%s%s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "note wall.lane_busy_ms") ||
+	if !strings.Contains(out.String(), "note wall.simulate_ms") ||
 		!strings.Contains(out.String(), "lacks this wall stat") {
 		t.Fatalf("missing-wall note absent:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "warn wall.lane_busy_ms") {
+	if strings.Contains(out.String(), "warn wall.simulate_ms") {
 		t.Fatalf("absent wall stat was compared as zero:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "lane") {
+		t.Fatalf("retired event-lane stats reached the diff:\n%s", out.String())
+	}
+}
+
+// TestDiffCommittedLaneRecord diffs the committed BENCH_2026-08-08.json
+// record, written while the event-lane engine still existed (it carries
+// lane_jobs), against a fresh bench record: the old record must still
+// parse and its simulated figures must diff clean.
+func TestDiffCommittedLaneRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench run over the FOM set")
+	}
+	old := filepath.Join("..", "..", "BENCH_2026-08-08.json")
+	raw, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"lane_jobs"`) {
+		t.Fatalf("%s no longer carries lane_jobs; the test lost its subject", old)
+	}
+	fresh := filepath.Join(t.TempDir(), "fresh.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"bench", "-date", "2026-01-01", "-out", fresh}, &out, &errb); code != 0 {
+		t.Fatalf("bench: exit %d, stderr:\n%s", code, errb.String())
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"diff", old, fresh}, &out, &errb); code != 0 {
+		t.Fatalf("diff against the committed lane-era record: exit %d\n%s%s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), "simulated metric(s) within tolerance") {
+		t.Fatalf("diff ok line missing:\n%s", out.String())
 	}
 }
 

@@ -1,7 +1,8 @@
 // Timeline: trace a pipelined GPU workload — H2D upload, compute kernel,
 // halo exchange, D2H readback on every Aurora stack — and export a
 // Chrome-trace JSON (load it at ui.perfetto.dev) plus a per-stack
-// utilization summary. Demonstrates the gpusim Recorder.
+// utilization summary. Demonstrates recording a machine into an
+// obs.Collector.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"pvcsim/internal/gpusim"
 	"pvcsim/internal/hw"
 	"pvcsim/internal/mpirt"
+	"pvcsim/internal/obs"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
@@ -26,8 +28,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := gpusim.NewRecorder()
-	machine.SetRecorder(rec)
+	col := obs.NewCollector()
+	key := obs.Key{Workload: "timeline", System: node.Name}
+	machine.Observe(col.Cell(key))
 
 	comm, err := mpirt.NewComm(machine, node.TotalStacks())
 	if err != nil {
@@ -62,21 +65,37 @@ func main() {
 		// Result readback.
 		r.Stack.MemcpyD2H(p, 512*units.MB)
 	})
+	col.Finish(key, 0, err)
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := col.Report()
 
+	// Per-stack busy time: the sum of each stack's device spans (kernels
+	// and memcpys; fabric flows carry no stack and are skipped).
 	total := machine.Eng.Now()
+	busy := map[topology.StackID]units.Seconds{}
+	events := 0
+	for _, sp := range rep.Cells[0].Spans() {
+		if sp.GPU < 0 {
+			continue
+		}
+		busy[topology.StackID{GPU: sp.GPU, Stack: sp.Stack}] += sp.Duration()
+		events++
+	}
 	fmt.Printf("simulated %d ranks x %d steps in %v of virtual time\n", node.TotalStacks(), steps, total)
-	fmt.Printf("%d device events recorded\n\n", rec.Len())
-	fmt.Print(rec.Summary(total))
+	fmt.Printf("%d device events recorded\n\n", events)
+	for _, id := range node.Subdevices() {
+		util := float64(busy[id]) / float64(total) * 100
+		fmt.Printf("%v: busy %v (%.0f%%)\n", id, busy[id], util)
+	}
 
 	f, err := os.Create("timeline.json")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := rec.WriteChromeTrace(f); err != nil {
+	if err := rep.WriteChromeTrace(f); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nwrote timeline.json (open with ui.perfetto.dev)")

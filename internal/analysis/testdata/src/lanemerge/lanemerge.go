@@ -1,9 +1,10 @@
 // Fixture for the maprange analyzer's schedule-sensitive sites: the
-// lane mailboxes merge same-time deliveries by admission sequence, so
-// an Engine.Schedule / Signal.Fire / Go / GoOn issued from a map-range
-// body bakes iteration order into the simulated schedule itself. The
-// fix is the same collect-sort-replay idiom the fabric reschedule loop
-// uses for drained flows.
+// event heap runs same-time events in admission sequence, so an
+// Engine.Schedule / Signal.Fire / Go issued from a map-range body bakes
+// iteration order into the simulated schedule itself — on the serial
+// engine just as on any parallel one. The fix is the same
+// collect-sort-replay idiom the fabric reschedule loop uses for drained
+// flows.
 package fixture
 
 import "sort"
@@ -13,11 +14,10 @@ import "sort"
 // gpusim wrappers.
 type engine struct{}
 
-func (engine) Schedule(after float64, fn func())       {}
-func (engine) Go(name string, body func())             {}
-func (engine) GoOn(lane int, name string, body func()) {}
-func (engine) Fire()                                   {}
-func (engine) Lane() int                               { return 0 }
+func (engine) Schedule(after float64, fn func()) {}
+func (engine) Go(name string, body func())       {}
+func (engine) Fire()                             {}
+func (engine) Pending() int                      { return 0 }
 
 type flow struct {
 	seq  int
@@ -39,12 +39,6 @@ func badFireFromMap(flows map[*flow]bool) {
 func badSpawnFromMap(e engine, bodies map[string]func()) {
 	for name, body := range bodies {
 		e.Go(name, body) // want `Go inside a range over a map admits simulation events`
-	}
-}
-
-func badLaneSpawnFromMap(e engine, lanes map[string]int) {
-	for name, lane := range lanes {
-		e.GoOn(lane, name, func() {}) // want `GoOn inside a range over a map admits simulation events`
 	}
 }
 
@@ -71,12 +65,12 @@ func goodSliceSchedule(e engine, delays []float64) {
 	}
 }
 
-// Reading lane state inside a map range is fine — only admission sinks
-// leak the order.
-func goodQueryFromMap(e engine, lanes map[string]engine) int {
+// Reading engine state inside a map range is fine — only admission
+// sinks leak the order.
+func goodQueryFromMap(engines map[string]engine) int {
 	total := 0
-	for _, l := range lanes {
-		total += l.Lane()
+	for _, e := range engines {
+		total += e.Pending()
 	}
 	return total
 }

@@ -21,9 +21,6 @@ import (
 )
 
 // Constraint is one bandwidth capacity shared by the flows crossing it.
-// Flow accounting mutates it, always on the network's lane:
-//
-//laneguard:pinned lane0
 type Constraint struct {
 	Name     string
 	capacity float64 // bytes per second
@@ -37,10 +34,7 @@ func (c *Constraint) Capacity() units.ByteRate { return units.ByteRate(c.capacit
 // constraint.
 func (c *Constraint) ActiveFlows() int { return c.flows }
 
-// Flow is one in-flight transfer. Its progress state belongs to the
-// network's coordination lane:
-//
-//laneguard:pinned lane0
+// Flow is one in-flight transfer.
 type Flow struct {
 	label     Label
 	bound     string // binding-resource tag carried onto the recorded span
@@ -49,7 +43,6 @@ type Flow struct {
 	cs        []*Constraint
 	done      sim.Signal
 	finished  bool
-	owner     sim.LaneID    // the network's lane; Wait migrates there first
 	size      float64       // total bytes, for the recorded span
 	start     units.Seconds // when the flow entered the network
 }
@@ -67,17 +60,9 @@ func (f *Flow) Remaining() units.Bytes { return units.Bytes(f.remaining) }
 // Rate returns the flow's current share in bytes/s.
 func (f *Flow) Rate() units.ByteRate { return units.ByteRate(f.rate) }
 
-// Network manages flows over a set of constraints on one engine. The
-// network's state — constraints, flow set, rates — lives on the engine's
-// coordination lane (lane 0): every blocking entry point migrates the
-// calling process there, and the non-blocking Start variants must already
-// be called from lane-0 context (mpirt and the gpusim memcpy paths
-// migrate before routing into them).
-//
-//laneguard:pinned lane0
+// Network manages flows over a set of constraints on one engine.
 type Network struct {
 	eng     *sim.Engine
-	lane    sim.LaneID
 	flows   []*Flow // live flows in admission order
 	drained []*Flow // reschedule's scratch buffer, empty between calls
 	lastT   units.Seconds
@@ -86,18 +71,6 @@ type Network struct {
 	obs     obs.Recorder
 }
 
-// now is the network's clock: its own lane's time, never another lane's
-// (which may be further ahead mid-round).
-func (n *Network) now() units.Seconds { return n.eng.LaneNow(n.lane) }
-
-// Lane returns the lane the network's state lives on.
-func (n *Network) Lane() sim.LaneID { return n.lane }
-
-// Enter migrates the process to the network's lane; model code must call
-// it (directly or via a blocking transfer) before touching network or
-// other lane-0 state.
-func (n *Network) Enter(p *sim.Proc) { p.MoveTo(n.lane) }
-
 // Observe attaches a recorder; every completed flow is emitted as a
 // span and admitted flows are counted (fabric.flows, fabric.bytes).
 func (n *Network) Observe(r obs.Recorder) { n.obs = r }
@@ -105,7 +78,7 @@ func (n *Network) Observe(r obs.Recorder) { n.obs = r }
 // admit registers a flow with the network, stamping its entry time and
 // appending it to the admission-ordered flow set.
 func (n *Network) admit(f *Flow) {
-	f.start = n.now()
+	f.start = n.eng.Now()
 	for _, c := range f.cs {
 		c.flows++
 	}
@@ -143,12 +116,11 @@ func (n *Network) MustConstraint(name string, cap units.ByteRate) *Constraint {
 // and software setup time), matching how a single message experiences it.
 func (n *Network) Transfer(p *sim.Proc, label Label, size units.Bytes, latency units.Seconds, cs ...*Constraint) {
 	if latency > 0 {
-		p.Hold(latency) // wire latency burns on the caller's own lane
+		p.Hold(latency)
 	}
 	if size <= 0 {
 		return
 	}
-	n.Enter(p)
 	f := n.start(label, "", size, cs)
 	if f.finished {
 		return
@@ -195,10 +167,8 @@ func (n *Network) completePending(f *Flow) {
 	f.done.Fire()
 }
 
-// Wait blocks the process until the flow completes, migrating it to the
-// network's lane first (the finished bit is lane-0 state).
+// Wait blocks the process until the flow completes.
 func (f *Flow) Wait(p *sim.Proc) {
-	p.MoveTo(f.owner)
 	if f.finished {
 		return
 	}
@@ -210,7 +180,7 @@ func (f *Flow) Wait(p *sim.Proc) {
 // diagnostics can report "blocked: 1 on signal flow h2d:0.0", but the
 // name is built only if such a report asks for it.
 func (n *Network) newFlow(label Label, bound string, size units.Bytes, cs []*Constraint) *Flow {
-	f := &Flow{label: label, bound: bound, owner: n.lane, remaining: float64(size), size: float64(size), cs: cs}
+	f := &Flow{label: label, bound: bound, remaining: float64(size), size: float64(size), cs: cs}
 	f.done = sim.SignalNamedBy(n.eng, (*flowDone)(f))
 	return f
 }
@@ -238,7 +208,7 @@ func (n *Network) start(label Label, bound string, size units.Bytes, cs []*Const
 // advance progresses all active flows to the current time at their
 // previously computed rates.
 func (n *Network) advance() {
-	now := n.now()
+	now := n.eng.Now()
 	//pvclint:ignore timeunit the fluid integrator multiplies seconds by bytes/second; the product leaves the time domain
 	dt := float64(now - n.lastT)
 	n.lastT = now
@@ -308,7 +278,7 @@ func (n *Network) reschedule() {
 			return
 		}
 		//pvclint:ignore timeunit math.Nextafter probes the raw float grid of the clock; units.Seconds has no epsilon
-		now := float64(n.now())
+		now := float64(n.eng.Now())
 		resolution := math.Nextafter(now, math.Inf(1)) - now
 		if soonest >= resolution {
 			n.gen++
@@ -343,7 +313,7 @@ func (n *Network) finish(f *Flow) {
 	if n.obs != nil {
 		n.obs.Span(obs.Span{
 			Name: f.label.String(), Cat: "flow", GPU: -1, Stack: -1,
-			Start: f.start, End: n.now(), Bytes: units.Bytes(f.size),
+			Start: f.start, End: n.eng.Now(), Bytes: units.Bytes(f.size),
 			Bound: f.bound,
 		})
 	}

@@ -207,8 +207,8 @@ func WeakScalingBreakdownOn(m *gpusim.Machine, n, edge, steps int) (total, comm 
 		Precision: 0,
 	}
 	var commTime units.Seconds
-	// Per-rank finish times: ranks run on independent event lanes, so a
-	// shared max would race; each rank writes only its own slot.
+	// Per-rank finish times, one slot per rank; the slowest sets the
+	// step time.
 	finishes := make([]units.Seconds, c.Size())
 	runErr := c.Spawn(func(p *sim.Proc, r *mpirt.Rank) {
 		for step := 0; step < steps; step++ {

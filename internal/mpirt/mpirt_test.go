@@ -324,3 +324,31 @@ func TestRankAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnmatchedRecvDeadlockDiagnostics injects a model deadlock (a
+// receive no rank ever sends) and pins the engine's diagnostic byte for
+// byte: it names the blocked rank's inbox signal with a count.
+func TestUnmatchedRecvDeadlockDiagnostics(t *testing.T) {
+	m, err := gpusim.New(topology.NewAurora())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := NewComm(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := comm.Spawn(func(p *sim.Proc, r *Rank) {
+		if r.Rank() == 0 {
+			if e := r.Recv(p, 1, 99); e != nil {
+				panic(e)
+			}
+		}
+	})
+	if runErr == nil {
+		t.Fatal("expected a deadlock error")
+	}
+	const want = "sim: deadlock at t=0 s: 1 process(es) blocked with empty event queue; blocked: 1 on signal rank0 inbox"
+	if runErr.Error() != want {
+		t.Errorf("deadlock diagnostic\n got: %s\nwant: %s", runErr, want)
+	}
+}

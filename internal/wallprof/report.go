@@ -14,89 +14,8 @@ import (
 // export.
 const WallSchemaVersion = 1
 
-// latencyBoundsNS are the mailbox enqueue→drain histogram bounds:
-// decades from 1 µs to 1 s, in nanoseconds.
-var latencyBoundsNS = []int64{
-	1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000,
-}
-
-// depthBounds are the mailbox depth-per-barrier histogram bounds.
-var depthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// Hist is a fixed-bound histogram of int64 samples.
-type Hist struct {
-	bounds []int64
-	counts []int64 // len(bounds)+1; the last bucket is overflow
-	sum    int64
-	n      int64
-	max    int64
-}
-
-func newHist(bounds []int64) Hist {
-	return Hist{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-// Observe adds one sample.
-func (h *Hist) Observe(v int64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// HistReport is the JSON form of a histogram: counts[i] holds samples
-// ≤ bounds[i]; the final extra count is the overflow bucket.
-type HistReport struct {
-	Bounds []int64 `json:"bounds"`
-	Counts []int64 `json:"counts"`
-	Count  int64   `json:"count"`
-	Sum    int64   `json:"sum"`
-	Max    int64   `json:"max"`
-}
-
-func (h *Hist) report() HistReport {
-	out := HistReport{Bounds: h.bounds, Counts: h.counts, Count: h.n, Sum: h.sum, Max: h.max}
-	if out.Counts == nil {
-		out.Counts = make([]int64, len(h.bounds)+1)
-	}
-	return out
-}
-
-// Mean returns the average sample (0 when empty).
-func (h HistReport) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// LaneReport is one lane's wall-time accounting over a cell's engine
-// run(s). Utilization and stall fractions are relative to the engine's
-// total run wall time; idle is the remainder (horizon waits with an
-// empty heap, worker-pool queueing).
-type LaneReport struct {
-	Lane        int     `json:"lane"`
-	BusyMS      float64 `json:"busy_ms"`
-	StallMS     float64 `json:"stall_ms"`
-	IdleMS      float64 `json:"idle_ms"`
-	Utilization float64 `json:"utilization"`
-	StallFrac   float64 `json:"stall_frac"`
-	Bursts      int64   `json:"bursts"`
-	Events      int64   `json:"events"`
-	MsgsEmitted int64   `json:"msgs_emitted"`
-	AllocFresh  int64   `json:"event_alloc_fresh"`
-	AllocReused int64   `json:"event_alloc_reused"`
-	HeapShrinks int64   `json:"heap_shrinks"`
-}
-
 // CellReport is one cell's wall-clock profile: runner phases plus the
-// engine's lane accounting.
+// engine's run accounting.
 type CellReport struct {
 	Workload string `json:"workload"`
 	System   string `json:"system"`
@@ -107,17 +26,12 @@ type CellReport struct {
 	CacheWaitMS float64 `json:"cache_wait_ms,omitempty"`
 	CacheHits   int64   `json:"cache_hits,omitempty"`
 
-	EngineRuns      int64   `json:"engine_runs"`
-	EngineRunMS     float64 `json:"engine_run_ms"`
-	Workers         int     `json:"workers"`
-	Rounds          int64   `json:"rounds"`
-	Barriers        int64   `json:"barriers"`
-	BarrierMS       float64 `json:"barrier_ms"`
-	MeanActiveLanes float64 `json:"mean_active_lanes"`
-
-	Lanes          []LaneReport `json:"lanes"`
-	MailboxDepth   HistReport   `json:"mailbox_depth"`
-	MailboxLatency HistReport   `json:"mailbox_latency_ns"`
+	EngineRuns  int64   `json:"engine_runs"`
+	EngineRunMS float64 `json:"engine_run_ms"`
+	Events      int64   `json:"events"`
+	AllocFresh  int64   `json:"event_alloc_fresh"`
+	AllocReused int64   `json:"event_alloc_reused"`
+	HeapShrinks int64   `json:"heap_shrinks"`
 }
 
 // Name renders "workload @ system [params]", matching obs.Key.
@@ -140,10 +54,9 @@ type Report struct {
 
 const msPerNS = 1e-6
 
-// Report merges every cell's buffers into the canonical report: cells
-// sorted by (workload, system, params), lanes in index order. Call it
-// after the run completes — it reads lane buffers the engine is done
-// writing.
+// Report merges every cell's profile into the canonical report, cells
+// sorted by (workload, system, params). Call it after the run
+// completes.
 func (c *Collector) Report() *Report {
 	rep := &Report{WallSchema: WallSchemaVersion}
 	c.mu.Lock()
@@ -167,45 +80,13 @@ func (cp *CellProf) report() CellReport {
 		CacheWaitMS: float64(cp.cacheWaitNS) * msPerNS,
 		CacheHits:   cp.cacheHits,
 	}
-	p := cp.probe
-	if p == nil {
-		empty := newHist(depthBounds)
-		out.MailboxDepth = empty.report()
-		emptyLat := newHist(latencyBoundsNS)
-		out.MailboxLatency = emptyLat.report()
-		return out
-	}
-	out.EngineRuns = p.runs
-	out.EngineRunMS = float64(p.runNS) * msPerNS
-	out.Workers = p.workers
-	out.Rounds = p.rounds
-	out.Barriers = p.barriers
-	out.BarrierMS = float64(p.barrierNS) * msPerNS
-	if p.rounds > 0 {
-		out.MeanActiveLanes = float64(p.activeTotal) / float64(p.rounds)
-	}
-	out.MailboxDepth = p.depth.report()
-	out.MailboxLatency = p.latency.report()
-	for i, lb := range p.lanes {
-		lr := LaneReport{
-			Lane:        i,
-			BusyMS:      float64(lb.busyNS) * msPerNS,
-			StallMS:     float64(lb.stallNS) * msPerNS,
-			Bursts:      lb.bursts,
-			Events:      lb.events,
-			MsgsEmitted: lb.msgs,
-			AllocFresh:  lb.allocFresh,
-			AllocReused: lb.allocReused,
-			HeapShrinks: lb.shrinks,
-		}
-		if idle := float64(p.runNS-lb.busyNS-lb.stallNS) * msPerNS; idle > 0 {
-			lr.IdleMS = idle
-		}
-		if p.runNS > 0 {
-			lr.Utilization = float64(lb.busyNS) / float64(p.runNS)
-			lr.StallFrac = float64(lb.stallNS) / float64(p.runNS)
-		}
-		out.Lanes = append(out.Lanes, lr)
+	if p := cp.probe; p != nil {
+		out.EngineRuns = p.runs
+		out.EngineRunMS = float64(p.runNS) * msPerNS
+		out.Events = p.events
+		out.AllocFresh = p.allocFresh
+		out.AllocReused = p.allocReused
+		out.HeapShrinks = p.shrinks
 	}
 	return out
 }
@@ -217,48 +98,24 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteReport writes the human tables: per cell, the phase breakdown
-// and a per-lane utilization table with stall fractions.
+// WriteReport writes the human table: one row per cell with its phase
+// breakdown and engine accounting.
 func (r *Report) WriteReport(w io.Writer) error {
-	fmt.Fprintf(w, "Wall-clock self-profile: %d cell(s), export %.3g ms\n", len(r.Cells), r.ExportMS)
+	fmt.Fprintf(w, "Wall-clock self-profile: %d cell(s), export %.3g ms\n\n", len(r.Cells), r.ExportMS)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "CELL\tBUILD_MS\tSIMULATE_MS\tCACHE_WAIT_MS\tRUNS\tENGINE_MS\tEVENTS\tALLOC_NEW\tALLOC_REUSE\tSHRINKS")
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		fmt.Fprintf(w, "\n%s\n", c.Name())
-		fmt.Fprintf(w, "  phases: build %.3g ms, simulate %.3g ms", c.BuildMS, c.SimulateMS)
-		if c.CacheHits > 0 {
-			fmt.Fprintf(w, ", cache-wait %.3g ms (%d hit(s))", c.CacheWaitMS, c.CacheHits)
-		}
-		fmt.Fprintln(w)
-		if c.EngineRuns == 0 {
-			fmt.Fprintln(w, "  engine: no instrumented runs (cell served from cache?)")
-			continue
-		}
-		barrierPct := 0.0
-		if c.EngineRunMS > 0 {
-			barrierPct = c.BarrierMS / c.EngineRunMS * 100
-		}
-		fmt.Fprintf(w, "  engine: %d run(s), %.3g ms wall, workers %d, rounds %d, barriers %d (%.3g ms, %.1f%%), mean active lanes %.2f\n",
-			c.EngineRuns, c.EngineRunMS, c.Workers, c.Rounds, c.Barriers, c.BarrierMS, barrierPct, c.MeanActiveLanes)
-		fmt.Fprintf(w, "  mailbox: %d msg(s) drained, mean depth/barrier %.2f, mean latency %.3g us, max %.3g us\n",
-			c.MailboxLatency.Count, c.MailboxDepth.Mean(),
-			c.MailboxLatency.Mean()/1e3, float64(c.MailboxLatency.Max)/1e3)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "  LANE\tBUSY_MS\tSTALL_MS\tIDLE_MS\tUTIL\tSTALL\tBURSTS\tEVENTS\tMSGS\tALLOC_NEW\tALLOC_REUSE\tSHRINKS")
-		for _, l := range c.Lanes {
-			fmt.Fprintf(tw, "  %d\t%.3g\t%.3g\t%.3g\t%.1f%%\t%.1f%%\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				l.Lane, l.BusyMS, l.StallMS, l.IdleMS, l.Utilization*100, l.StallFrac*100,
-				l.Bursts, l.Events, l.MsgsEmitted, l.AllocFresh, l.AllocReused, l.HeapShrinks)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
+		fmt.Fprintf(tw, "%s\t%.3g\t%.3g\t%.3g\t%d\t%.3g\t%d\t%d\t%d\t%d\n",
+			c.Name(), c.BuildMS, c.SimulateMS, c.CacheWaitMS,
+			c.EngineRuns, c.EngineRunMS, c.Events, c.AllocFresh, c.AllocReused, c.HeapShrinks)
 	}
-	return nil
+	return tw.Flush()
 }
 
 // WriteFlame writes the wall profile as folded stacks,
 //
-//	cell;phase;lane N;busy|stall <nanoseconds>
+//	cell;phase[;engine|host] <nanoseconds>
 //
 // so the same flamegraph tooling that renders simulated bound
 // residency renders the simulator's own wall time.
@@ -277,24 +134,12 @@ func (r *Report) WriteFlame(w io.Writer) error {
 		if err := emit(name+";build", c.BuildMS); err != nil {
 			return err
 		}
-		// Inside the simulate phase, split the engine's wall time into
-		// per-lane busy/stall plus the serialized barrier work; host
-		// model code outside the engine is the remainder.
-		engine := 0.0
-		for _, l := range c.Lanes {
-			if err := emit(fmt.Sprintf("%s;simulate;lane %d;busy", name, l.Lane), l.BusyMS); err != nil {
-				return err
-			}
-			if err := emit(fmt.Sprintf("%s;simulate;lane %d;stall", name, l.Lane), l.StallMS); err != nil {
-				return err
-			}
-			engine += l.BusyMS + l.StallMS
-		}
-		if err := emit(name+";simulate;barrier", c.BarrierMS); err != nil {
+		// Inside the simulate phase, split the engine's event loop from
+		// the host model code around it.
+		if err := emit(name+";simulate;engine", c.EngineRunMS); err != nil {
 			return err
 		}
-		engine += c.BarrierMS
-		if err := emit(name+";simulate;host", c.SimulateMS-engine); err != nil {
+		if err := emit(name+";simulate;host", c.SimulateMS-c.EngineRunMS); err != nil {
 			return err
 		}
 		if err := emit(name+";cache-wait", c.CacheWaitMS); err != nil {
@@ -316,13 +161,18 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the wall-time lane timelines as Chrome
-// trace-event JSON — the second track next to the simulated-time trace
-// (load both files in the same Perfetto session). One "process" per
-// cell, one "thread" per lane plus a barriers track and a runner-phase
-// track. Requires EnableTimeline; without it only the phase aggregates
-// appear. Unlike every simulated export this one is wall time and is
-// expected to differ between runs.
+// Chrome trace thread ids of the two tracks every cell process has.
+const (
+	engineTID = 0
+	phaseTID  = 1
+)
+
+// WriteChromeTrace writes the wall-time timelines as Chrome trace-event
+// JSON — the second track next to the simulated-time trace (load both
+// files in the same Perfetto session). One "process" per cell with an
+// engine-run track and a runner-phase track. Requires EnableTimeline;
+// without it only the process metadata appears. Unlike every simulated
+// export this one is wall time and is expected to differ between runs.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	cells := c.sortedCells()
 	// Zero the timeline at the earliest recorded instant so the trace
@@ -340,12 +190,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			see(ph.start)
 		}
 		if p := cp.probe; p != nil {
-			for _, lb := range p.lanes {
-				for _, s := range lb.spans {
-					see(s.start)
-				}
-			}
-			for _, s := range p.barrierSpan {
+			for _, s := range p.spans {
 				see(s.start)
 			}
 		}
@@ -361,40 +206,25 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	for pid, cp := range cells {
 		cp.mu.Lock()
-		laneCount := 0
-		if cp.probe != nil {
-			laneCount = len(cp.probe.lanes)
-		}
-		barrierTID, phaseTID := laneCount, laneCount+1
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": "wall: " + cp.key.String()},
-		})
-		for i := 0; i < laneCount; i++ {
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: i,
-				Args: map[string]any{"name": fmt.Sprintf("lane %d", i)},
+		events = append(events,
+			chromeEvent{
+				Name: "process_name", Ph: "M", PID: pid, TID: 0,
+				Args: map[string]any{"name": "wall: " + cp.key.String()},
+			},
+			chromeEvent{
+				Name: "thread_name", Ph: "M", PID: pid, TID: engineTID,
+				Args: map[string]any{"name": "engine"},
+			},
+			chromeEvent{
+				Name: "thread_name", Ph: "M", PID: pid, TID: phaseTID,
+				Args: map[string]any{"name": "runner phases"},
 			})
-		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: pid, TID: barrierTID,
-			Args: map[string]any{"name": "barriers"},
-		})
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: pid, TID: phaseTID,
-			Args: map[string]any{"name": "runner phases"},
-		})
 		for _, ph := range cp.phases {
 			x(ph.name, pid, phaseTID, span{start: ph.start, end: ph.end}, nil)
 		}
 		if p := cp.probe; p != nil {
-			for i, lb := range p.lanes {
-				for _, s := range lb.spans {
-					x("burst", pid, i, s, map[string]any{"events": s.events})
-				}
-			}
-			for _, s := range p.barrierSpan {
-				x("barrier", pid, barrierTID, s, nil)
+			for _, s := range p.spans {
+				x("run", pid, engineTID, s, map[string]any{"events": s.events})
 			}
 		}
 		cp.mu.Unlock()
@@ -411,13 +241,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 // layer scrapes (internal/telemetry stays import-free, so the daemon
 // copies these fields across structurally).
 type Totals struct {
-	Rounds           float64
-	Barriers         float64
-	MailboxMsgs      float64
-	BusySeconds      float64
-	StallSeconds     float64
-	BarrierSeconds   float64
-	LaneUtilization  []float64 // one sample per lane of every instrumented cell
 	BuildSeconds     []float64 // one sample per cell
 	SimulateSeconds  []float64
 	CacheWaitSeconds []float64 // one sample per memo-served cell
@@ -429,19 +252,10 @@ func (r *Report) Totals() Totals {
 	t := Totals{ExportSeconds: r.ExportMS / 1e3}
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		t.Rounds += float64(c.Rounds)
-		t.Barriers += float64(c.Barriers)
-		t.BarrierSeconds += c.BarrierMS / 1e3
 		t.BuildSeconds = append(t.BuildSeconds, c.BuildMS/1e3)
 		t.SimulateSeconds = append(t.SimulateSeconds, c.SimulateMS/1e3)
 		if c.CacheHits > 0 {
 			t.CacheWaitSeconds = append(t.CacheWaitSeconds, c.CacheWaitMS/1e3)
-		}
-		for _, l := range c.Lanes {
-			t.MailboxMsgs += float64(l.MsgsEmitted)
-			t.BusySeconds += l.BusyMS / 1e3
-			t.StallSeconds += l.StallMS / 1e3
-			t.LaneUtilization = append(t.LaneUtilization, l.Utilization)
 		}
 	}
 	return t

@@ -23,25 +23,23 @@ func tickClock() wallprof.Clock {
 	}
 }
 
-// runProbed drives a three-lane engine with cross-lane migrations under
-// a probed collector and returns the report.
+// runProbed drives an engine with two interacting processes under a
+// probed collector and returns the report.
 func runProbed(t *testing.T, c *wallprof.Collector) *wallprof.Report {
 	t.Helper()
 	cp := c.Cell(obs.Key{Workload: "w", System: "s"})
 	e := sim.NewEngine()
-	l1 := e.NewLane()
-	l2 := e.NewLane()
 	e.SetWallProbe(cp.Probe())
-	e.GoOn(l1, "hopper", func(p *sim.Proc) {
+	ready := sim.NewSignal(e)
+	e.Go("waiter", func(p *sim.Proc) {
+		ready.Wait(p)
 		p.Hold(units.Seconds(1e-6))
-		p.MoveTo(l2)
-		p.Hold(units.Seconds(1e-6))
-		p.MoveTo(0)
 	})
-	e.GoOn(l2, "worker", func(p *sim.Proc) {
+	e.Go("worker", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			p.Hold(units.Seconds(2e-6))
 		}
+		ready.Fire()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -62,37 +60,16 @@ func TestEngineProbeAccounting(t *testing.T) {
 	if cell.EngineRuns != 1 {
 		t.Errorf("engine runs = %d, want 1", cell.EngineRuns)
 	}
-	if cell.Rounds == 0 || cell.Barriers == 0 {
-		t.Errorf("rounds=%d barriers=%d, want both > 0", cell.Rounds, cell.Barriers)
+	// Two process starts, four worker holds, one wake-up and one waiter
+	// hold.
+	if cell.Events != 8 {
+		t.Errorf("events = %d, want 8", cell.Events)
 	}
-	if len(cell.Lanes) != 3 {
-		t.Fatalf("lanes = %d, want 3", len(cell.Lanes))
+	if alloc := cell.AllocFresh + cell.AllocReused; alloc != cell.Events {
+		t.Errorf("event allocations = %d, want one per event (%d)", alloc, cell.Events)
 	}
-	var events, msgs, alloc int64
-	for _, l := range cell.Lanes {
-		events += l.Events
-		msgs += l.MsgsEmitted
-		alloc += l.AllocFresh + l.AllocReused
-		if l.BusyMS < 0 || l.StallMS < 0 {
-			t.Errorf("lane %d negative accounting: busy=%v stall=%v", l.Lane, l.BusyMS, l.StallMS)
-		}
-	}
-	if events == 0 {
-		t.Error("no events counted across lanes")
-	}
-	// Two MoveTo calls, the second relaying through lane 0: ≥ 2 emissions.
-	if msgs < 2 {
-		t.Errorf("msgs emitted = %d, want >= 2", msgs)
-	}
-	if alloc == 0 {
-		t.Error("no event allocations counted")
-	}
-	if cell.MailboxLatency.Count != msgs {
-		t.Errorf("latency samples = %d, want %d (every emission drains at a barrier)",
-			cell.MailboxLatency.Count, msgs)
-	}
-	if cell.MailboxDepth.Count != cell.Barriers {
-		t.Errorf("depth samples = %d, want one per barrier (%d)", cell.MailboxDepth.Count, cell.Barriers)
+	if cell.AllocReused == 0 {
+		t.Error("no event struct was reused from the free-list")
 	}
 	if cell.EngineRunMS <= 0 {
 		t.Errorf("engine run wall = %v, want > 0 under the tick clock", cell.EngineRunMS)
@@ -111,14 +88,11 @@ func TestSerialEngineIsOneBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := c.Report().Cells[0]
-	if cell.Rounds != 0 || cell.Barriers != 0 {
-		t.Errorf("serial run has rounds=%d barriers=%d, want 0/0", cell.Rounds, cell.Barriers)
+	if cell.EngineRuns != 1 || cell.Events != 5 {
+		t.Errorf("serial drain: runs=%d events=%d, want one run of five events", cell.EngineRuns, cell.Events)
 	}
-	if len(cell.Lanes) != 1 || cell.Lanes[0].Bursts != 1 || cell.Lanes[0].Events != 5 {
-		t.Errorf("serial drain: lanes=%+v, want one lane, one burst, five events", cell.Lanes)
-	}
-	if cell.Lanes[0].AllocFresh != 5 {
-		t.Errorf("alloc fresh = %d, want 5 (cold free-list)", cell.Lanes[0].AllocFresh)
+	if cell.AllocFresh != 5 {
+		t.Errorf("alloc fresh = %d, want 5 (cold free-list)", cell.AllocFresh)
 	}
 }
 
@@ -149,7 +123,7 @@ func TestReportRendering(t *testing.T) {
 	if err := rep.WriteReport(&human); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Wall-clock self-profile", "LANE", "BUSY_MS", "STALL_MS", "mailbox"} {
+	for _, want := range []string{"Wall-clock self-profile", "w @ s", "SIMULATE_MS", "ENGINE_MS", "EVENTS"} {
 		if !strings.Contains(human.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, human.String())
 		}
@@ -159,8 +133,8 @@ func TestReportRendering(t *testing.T) {
 	if err := rep.WriteFlame(&flame); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(flame.String(), ";simulate;lane 0;busy ") {
-		t.Errorf("flame missing lane busy stack:\n%s", flame.String())
+	if !strings.Contains(flame.String(), "w @ s;simulate;engine ") {
+		t.Errorf("flame missing engine stack:\n%s", flame.String())
 	}
 
 	var js bytes.Buffer
@@ -194,20 +168,17 @@ func TestChromeTraceTimeline(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
 		t.Fatal(err)
 	}
-	var bursts, barriers int
+	runs := 0
 	for _, ev := range tf.TraceEvents {
 		if ev.TS < 0 {
 			t.Errorf("negative timestamp on %q", ev.Name)
 		}
-		switch ev.Name {
-		case "burst":
-			bursts++
-		case "barrier":
-			barriers++
+		if ev.Name == "run" {
+			runs++
 		}
 	}
-	if bursts == 0 || barriers == 0 {
-		t.Errorf("timeline trace has %d bursts, %d barriers; want both > 0", bursts, barriers)
+	if runs != 1 {
+		t.Errorf("timeline trace has %d engine runs, want 1", runs)
 	}
 	if !strings.Contains(buf.String(), "wall: w @ s") {
 		t.Error("trace missing the wall process name")
@@ -216,13 +187,19 @@ func TestChromeTraceTimeline(t *testing.T) {
 
 func TestTotals(t *testing.T) {
 	c := wallprof.NewWithClock(tickClock())
-	rep := runProbed(t, c)
-	tot := rep.Totals()
-	if tot.Rounds == 0 || tot.BusySeconds <= 0 || tot.MailboxMsgs < 2 {
-		t.Errorf("totals = %+v, want rounds/busy/msgs populated", tot)
+	cp := c.Cell(obs.Key{Workload: "w", System: "s"})
+	cp.AddBuild(cp.Now())
+	cp.AddSimulate(cp.Now())
+	c.Cell(obs.Key{Workload: "w", System: "t"}).AddCacheHit(cp.Now())
+	tot := c.Report().Totals()
+	if len(tot.BuildSeconds) != 2 || len(tot.SimulateSeconds) != 2 {
+		t.Errorf("totals = %+v, want one build and simulate sample per cell", tot)
 	}
-	if len(tot.LaneUtilization) != 3 {
-		t.Errorf("lane utilization samples = %d, want 3", len(tot.LaneUtilization))
+	if tot.BuildSeconds[0] <= 0 || tot.SimulateSeconds[0] <= 0 {
+		t.Errorf("totals = %+v, want the profiled cell's phases populated", tot)
+	}
+	if len(tot.CacheWaitSeconds) != 1 {
+		t.Errorf("cache-wait samples = %d, want 1 (one memo-served cell)", len(tot.CacheWaitSeconds))
 	}
 }
 
@@ -232,16 +209,18 @@ func TestTotals(t *testing.T) {
 func TestProbeIsSideChannel(t *testing.T) {
 	run := func(probed bool) units.Seconds {
 		e := sim.NewEngine()
-		l1 := e.NewLane()
 		if probed {
 			c := wallprof.New()
 			e.SetWallProbe(c.Cell(obs.Key{Workload: "x", System: "y"}).Probe())
 		}
-		e.GoOn(l1, "p", func(p *sim.Proc) {
-			p.Hold(units.Seconds(5e-6))
-			p.MoveTo(0)
-			p.Hold(units.Seconds(5e-6))
-		})
+		r := sim.NewResource(e, "q", 1)
+		for i := 0; i < 3; i++ {
+			e.Go("p", func(p *sim.Proc) {
+				r.Acquire(p)
+				p.Hold(units.Seconds(5e-6))
+				r.Release()
+			})
+		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
