@@ -1,13 +1,17 @@
 # Development targets. `make check` is the gate CI and contributors run
-# before merging: vet, full build, pvclint (the determinism/simulated-
-# time invariant analyzers), and the race-enabled test suite (the
-# parallel runner makes -race meaningful).
+# before merging: gofmt, vet, full build, pvclint (the determinism/
+# simulated-time invariant analyzers), and the race-enabled test suite
+# (the parallel runner makes -race meaningful).
 
 GO ?= go
 
-.PHONY: check vet build lint test race bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
+.PHONY: check fmt vet build lint test race bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
 
-check: vet build lint race
+check: fmt vet build lint race
+
+# Fails listing every file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -52,10 +52,11 @@ func (r *RunReport) WriteMetrics(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// chromeEvent is one entry of the Chrome trace-event JSON format
+// traceEvent is one entry of the Chrome trace-event JSON format
 // (loadable in about:tracing and Perfetto). Timestamps and durations
-// are in microseconds.
-type chromeEvent struct {
+// are in microseconds. Dur is a pointer so metadata records omit it
+// while a zero-length span still carries "dur": 0.
+type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -64,6 +65,40 @@ type chromeEvent struct {
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
+}
+
+// TraceFile is the one Chrome trace-event writer: the simulated-time,
+// wall-time (wallprof) and request (reqtrace) traces all render through
+// it. Records keep call order; callers own their time base and track
+// layout and pass microseconds.
+type TraceFile struct {
+	events []traceEvent
+}
+
+// Process names the Chrome "process" pid.
+func (f *TraceFile) Process(pid int, name string) {
+	f.events = append(f.events, traceEvent{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": name}})
+}
+
+// Thread names the Chrome "thread" tid inside process pid.
+func (f *TraceFile) Thread(pid, tid int, name string) {
+	f.events = append(f.events, traceEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}})
+}
+
+// Span appends a complete ("X") event; an empty cat or nil args is
+// omitted from the output.
+func (f *TraceFile) Span(name, cat string, pid, tid int, tsUS, durUS float64, args map[string]any) {
+	f.events = append(f.events, traceEvent{Name: name, Cat: cat, Ph: "X", TS: tsUS, Dur: &durUS, PID: pid, TID: tid, Args: args})
+}
+
+// Encode writes the file as one-space-indented JSON. A file with no
+// events encodes as {"traceEvents": null}.
+func (f *TraceFile) Encode(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}{f.events})
 }
 
 // tid maps a span's device coordinates onto a Chrome thread id: one
@@ -83,34 +118,25 @@ func tidName(s Span) string {
 	return fmt.Sprintf("gpu %d stack %d", s.GPU, s.Stack)
 }
 
+func (c CellReport) key() Key { return Key{Workload: c.Workload, System: c.System, Params: c.Params} }
+
 // WriteChromeTrace writes every cell's spans as Chrome trace-event
-// JSON: one "process" per cell (named by workload@system), one "thread"
-// per subdevice, complete ("X") events stamped with simulated
+// JSON: one "process" per cell (named by its Key), one "thread" per
+// subdevice, complete ("X") events stamped with simulated
 // microseconds. Deterministic: cells, spans, and metadata are all in
 // canonical order.
 func (r *RunReport) WriteChromeTrace(w io.Writer) error {
-	var events []chromeEvent
+	var f TraceFile
 	for pid, c := range r.Cells {
-		name := c.Workload + " @ " + c.System
-		if c.Params != "" {
-			name += " [" + c.Params + "]"
-		}
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": name},
-		})
+		f.Process(pid, c.key().String())
 		seen := map[int]bool{}
 		for _, s := range c.spans {
 			if t := tid(s); !seen[t] {
 				seen[t] = true
-				events = append(events, chromeEvent{
-					Name: "thread_name", Ph: "M", PID: pid, TID: t,
-					Args: map[string]any{"name": tidName(s)},
-				})
+				f.Thread(pid, t, tidName(s))
 			}
 		}
 		for _, s := range c.spans {
-			dur := float64(s.Duration()) * 1e6
 			args := map[string]any{}
 			if s.Bytes != 0 {
 				args["bytes"] = float64(s.Bytes)
@@ -124,19 +150,10 @@ func (r *RunReport) WriteChromeTrace(w io.Writer) error {
 			if len(args) == 0 {
 				args = nil
 			}
-			events = append(events, chromeEvent{
-				Name: s.Name, Cat: s.Cat, Ph: "X",
-				TS: float64(s.Start) * 1e6, Dur: &dur,
-				PID: pid, TID: tid(s), Args: args,
-			})
+			f.Span(s.Name, s.Cat, pid, tid(s), float64(s.Start)*1e6, float64(s.Duration())*1e6, args)
 		}
 	}
-	type traceFile struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events})
+	return f.Encode(w)
 }
 
 // Summary writes the human-facing run table: one line per cell with its
@@ -147,16 +164,12 @@ func (r *RunReport) Summary(w io.Writer) error {
 	fmt.Fprintln(tw, "CELL\tEVENTS\tSIM END\tWALL")
 	var wall time.Duration
 	for _, c := range r.Cells {
-		name := c.Workload + " @ " + c.System
-		if c.Params != "" {
-			name += " [" + c.Params + "]"
-		}
 		status := ""
 		if c.Error != "" {
 			status = "  ERROR: " + c.Error
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%.6gs\t%s%s\n",
-			name, c.Events, c.SimEnd, c.Wall.Round(time.Microsecond), status)
+			c.key(), c.Events, c.SimEnd, c.Wall.Round(time.Microsecond), status)
 		wall += c.Wall
 	}
 	fmt.Fprintf(tw, "total\t\t\t%s\n", wall.Round(time.Microsecond))

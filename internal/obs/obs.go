@@ -162,7 +162,8 @@ type Key struct {
 	Params   string
 }
 
-// String renders "workload @ system".
+// String renders "workload @ system", plus " [params]" when the key
+// has params — the one cell-name format every report and trace uses.
 func (k Key) String() string {
 	if k.Params == "" {
 		return fmt.Sprintf("%s @ %s", k.Workload, k.System)

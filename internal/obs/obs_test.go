@@ -188,6 +188,75 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// TestTraceFileEncode pins the writer's exact bytes: an empty file
+// encodes a null event list, metadata records carry "ts": 0 and no
+// dur, and a zero-length span keeps "dur": 0 but omits an empty cat.
+func TestTraceFileEncode(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(f *TraceFile)
+		want  string
+	}{
+		{"empty", func(*TraceFile) {}, `{
+ "traceEvents": null
+}
+`},
+		{"process thread span", func(f *TraceFile) {
+			f.Process(2, "p")
+			f.Thread(2, 7, "t")
+			f.Span("s", "", 2, 7, 1.5, 0, map[string]any{"k": "v"})
+		}, `{
+ "traceEvents": [
+  {
+   "name": "process_name",
+   "ph": "M",
+   "ts": 0,
+   "pid": 2,
+   "tid": 0,
+   "args": {
+    "name": "p"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "ts": 0,
+   "pid": 2,
+   "tid": 7,
+   "args": {
+    "name": "t"
+   }
+  },
+  {
+   "name": "s",
+   "ph": "X",
+   "ts": 1.5,
+   "dur": 0,
+   "pid": 2,
+   "tid": 7,
+   "args": {
+    "k": "v"
+   }
+  }
+ ]
+}
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var f TraceFile
+			tc.build(&f)
+			var buf bytes.Buffer
+			if err := f.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.String(); got != tc.want {
+				t.Fatalf("encoded\n%s\nwant\n%s", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestSummary(t *testing.T) {
 	col := NewCollector()
 	k := Key{Workload: "w", System: "aurora"}

@@ -18,11 +18,12 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"pvcsim/internal/obs"
 )
 
 // ctxKey is the private context key carrying the request's trace.
@@ -64,6 +65,11 @@ func randomInstance() string {
 	return hex.EncodeToString(b[:])
 }
 
+// keepTraces bounds the retained-trace ring. Traces beyond it are
+// dropped oldest-first from the export; IDs already handed out stay
+// valid.
+const keepTraces = 512
+
 // Tracer mints traces and retains a bounded ring of recent ones for
 // the Chrome-trace export. All methods are safe for concurrent use.
 type Tracer struct {
@@ -73,7 +79,6 @@ type Tracer struct {
 	mu     sync.Mutex
 	seq    int
 	traces []*Trace
-	keep   int
 }
 
 // New builds a tracer on the runtime monotonic clock with a random
@@ -84,18 +89,7 @@ func New() *Tracer { return NewWithClock(wallClock(), randomInstance()) }
 // tests use a counter clock and an empty tag to make IDs and durations
 // deterministic.
 func NewWithClock(c Clock, instance string) *Tracer {
-	return &Tracer{clock: c, instance: instance, keep: 512}
-}
-
-// SetKeep bounds the retained-trace ring (default 512). Finished and
-// live traces beyond the bound are dropped oldest-first from the
-// export; IDs already handed out stay valid.
-func (t *Tracer) SetKeep(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n > 0 {
-		t.keep = n
-	}
+	return &Tracer{clock: c, instance: instance}
 }
 
 // Start begins a trace named for its origin (an HTTP route, a run ID)
@@ -109,8 +103,8 @@ func (t *Tracer) Start(name string) *Trace {
 	}
 	tr := &Trace{clock: t.clock, id: id, name: name, start: t.clock()}
 	t.traces = append(t.traces, tr)
-	if len(t.traces) > t.keep {
-		t.traces = t.traces[len(t.traces)-t.keep:]
+	if len(t.traces) > keepTraces {
+		t.traces = t.traces[len(t.traces)-keepTraces:]
 	}
 	t.mu.Unlock()
 	return tr
@@ -309,19 +303,6 @@ func (h *RunHooks) CellFinish(system, workload string, wall time.Duration, cache
 // visible as the run span's finish error path; no extra span needed.
 func (h *RunHooks) CellPanic(system, workload string, err error) {}
 
-// chromeEvent mirrors the trace-event JSON entries the obs and
-// wallprof exports use; timestamps and durations are wall-clock
-// microseconds here.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace renders the retained traces as Chrome trace-event
 // JSON — the third track next to the simulated-time (obs) and
 // wall-time (wallprof) traces; load all three in one Perfetto
@@ -343,44 +324,28 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
 
-	events := []chromeEvent{{
-		Name: "process_name", Ph: "M", PID: 0, TID: 0,
-		Args: map[string]any{"name": "requests"},
-	}}
+	var f obs.TraceFile
+	f.Process(0, "requests")
 	for tid, tr := range traces {
 		tr.mu.Lock()
 		end := tr.end
 		if end == 0 {
 			end = tr.clock()
 		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 0, TID: tid,
-			Args: map[string]any{"name": tr.id + " " + tr.name},
-		})
-		total := float64(end-tr.start) / 1e3
+		f.Thread(0, tid, tr.id+" "+tr.name)
 		args := map[string]any{"trace_id": tr.id}
 		if tr.outcome != "" {
 			args["outcome"] = tr.outcome
 		}
-		events = append(events, chromeEvent{
-			Name: tr.name, Ph: "X", TS: us(tr.start), Dur: &total, PID: 0, TID: tid, Args: args,
-		})
+		f.Span(tr.name, "", 0, tid, us(tr.start), float64(end-tr.start)/1e3, args)
 		for _, s := range tr.spans {
-			dur := float64(s.End-s.Start) / 1e3
 			var sargs map[string]any
 			if s.Detail != "" {
 				sargs = map[string]any{"detail": s.Detail}
 			}
-			events = append(events, chromeEvent{
-				Name: s.Name, Ph: "X", TS: us(s.Start), Dur: &dur, PID: 0, TID: tid, Args: sargs,
-			})
+			f.Span(s.Name, "", 0, tid, us(s.Start), float64(s.End-s.Start)/1e3, sargs)
 		}
 		tr.mu.Unlock()
 	}
-	type traceFile struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events})
+	return f.Encode(w)
 }

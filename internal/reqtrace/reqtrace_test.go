@@ -97,20 +97,19 @@ func TestRunHooksRecordSpans(t *testing.T) {
 
 func TestTracerKeepsBoundedRing(t *testing.T) {
 	tr, _ := newFakeTracer()
-	tr.SetKeep(3)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 515; i++ {
 		tr.Start("req").Finish(reqtrace.OutcomeOK)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// 3 retained traces → 3 thread_name metadata events.
-	if n := strings.Count(buf.String(), "thread_name"); n != 3 {
-		t.Fatalf("retained %d traces, want 3", n)
+	// 512 retained traces → 512 thread_name metadata events.
+	if n := strings.Count(buf.String(), "thread_name"); n != 512 {
+		t.Fatalf("retained %d traces, want 512", n)
 	}
 	// The newest trace survives eviction.
-	if !strings.Contains(buf.String(), "t-test-0010") {
+	if !strings.Contains(buf.String(), "t-test-0515") {
 		t.Fatal("newest trace missing from ring")
 	}
 }

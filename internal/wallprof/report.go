@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
+
+	"pvcsim/internal/obs"
 )
 
 // WallSchemaVersion is the wall-report schema. The field name is
@@ -34,12 +37,9 @@ type CellReport struct {
 	HeapShrinks int64   `json:"heap_shrinks"`
 }
 
-// Name renders "workload @ system [params]", matching obs.Key.
+// Name renders the cell's obs.Key.
 func (c *CellReport) Name() string {
-	if c.Params == "" {
-		return c.Workload + " @ " + c.System
-	}
-	return c.Workload + " @ " + c.System + " [" + c.Params + "]"
+	return obs.Key{Workload: c.Workload, System: c.System, Params: c.Params}.String()
 }
 
 // Report is the machine-readable wall-clock profile of one run. Unlike
@@ -149,18 +149,6 @@ func (r *Report) WriteFlame(w io.Writer) error {
 	return emit("export", r.ExportMS)
 }
 
-// chromeEvent mirrors the trace-event JSON entry obs exports use;
-// timestamps and durations are wall-clock microseconds here.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // Chrome trace thread ids of the two tracks every cell process has.
 const (
 	engineTID = 0
@@ -177,64 +165,38 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	cells := c.sortedCells()
 	// Zero the timeline at the earliest recorded instant so the trace
 	// starts near t=0 regardless of when the collector was created.
-	base := int64(0)
-	haveBase := false
-	see := func(t int64) {
-		if !haveBase || t < base {
-			base, haveBase = t, true
-		}
-	}
+	base := int64(math.MaxInt64)
 	for _, cp := range cells {
 		cp.mu.Lock()
 		for _, ph := range cp.phases {
-			see(ph.start)
+			base = min(base, ph.start)
 		}
 		if p := cp.probe; p != nil {
 			for _, s := range p.spans {
-				see(s.start)
+				base = min(base, s.start)
 			}
 		}
 		cp.mu.Unlock()
 	}
 	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
-	var events []chromeEvent
-	x := func(name string, pid, tid int, s span, args map[string]any) {
-		dur := float64(s.end-s.start) / 1e3
-		events = append(events, chromeEvent{
-			Name: name, Ph: "X", TS: us(s.start), Dur: &dur, PID: pid, TID: tid, Args: args,
-		})
-	}
+	var f obs.TraceFile
 	for pid, cp := range cells {
 		cp.mu.Lock()
-		events = append(events,
-			chromeEvent{
-				Name: "process_name", Ph: "M", PID: pid, TID: 0,
-				Args: map[string]any{"name": "wall: " + cp.key.String()},
-			},
-			chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: engineTID,
-				Args: map[string]any{"name": "engine"},
-			},
-			chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: phaseTID,
-				Args: map[string]any{"name": "runner phases"},
-			})
+		f.Process(pid, "wall: "+cp.key.String())
+		f.Thread(pid, engineTID, "engine")
+		f.Thread(pid, phaseTID, "runner phases")
 		for _, ph := range cp.phases {
-			x(ph.name, pid, phaseTID, span{start: ph.start, end: ph.end}, nil)
+			f.Span(ph.name, "", pid, phaseTID, us(ph.start), float64(ph.end-ph.start)/1e3, nil)
 		}
 		if p := cp.probe; p != nil {
 			for _, s := range p.spans {
-				x("run", pid, engineTID, s, map[string]any{"events": s.events})
+				f.Span("run", "", pid, engineTID, us(s.start), float64(s.end-s.start)/1e3,
+					map[string]any{"events": s.events})
 			}
 		}
 		cp.mu.Unlock()
 	}
-	type traceFile struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events})
+	return f.Encode(w)
 }
 
 // Totals aggregates the report into the plain numbers the telemetry
