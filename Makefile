@@ -85,14 +85,14 @@ wallprof-demo: build
 	@echo "wallprof-demo: metrics byte-identical with wallprof on vs off"
 	@echo "wrote wallprof-demo-trace.json + wallprof-demo-walltrace.json — load both at https://ui.perfetto.dev"
 
-# Append today's bench record (the six Table V/VI FOM workloads) to
-# BENCH_<date>.json — the simulator's own performance trajectory.
+# Append today's bench record (the simulated FOMs of the six Table V/VI
+# workloads) to BENCH_<date>.json.
 bench-record: build
 	$(GO) run ./cmd/pvcprof bench -jobs 0
 
 # Regression gate: run the bench set now and diff it against the
 # committed baseline. Simulated FOM drift hard-fails (exact tolerance);
-# wall-clock drift only warns.
+# wall time is not compared here (the e2ebench benchmark measures it).
 # The zero-alloc test pins the disabled wall-probe path first: every
 # simulation pays the nil-probe hook sites, so they must stay a single
 # pointer compare — no allocations (DESIGN.md §14). The allocation

@@ -24,7 +24,6 @@ import (
 	"pvcsim/internal/paper"
 	"pvcsim/internal/report"
 	"pvcsim/internal/runner"
-	"pvcsim/internal/telemetry"
 	"pvcsim/internal/topology"
 )
 
@@ -38,12 +37,7 @@ func main() {
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = all CPUs")
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
-	var logf telemetry.LogFlags
-	logf.Register(flag.CommandLine)
 	flag.Parse()
-	if _, err := logf.Setup(os.Stderr); err != nil {
-		log.Fatal(err)
-	}
 
 	study := core.NewParallelStudy(*jobs)
 	obsf.Attach(study.Runner())

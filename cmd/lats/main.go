@@ -22,7 +22,6 @@ import (
 	"pvcsim/internal/microbench"
 	"pvcsim/internal/report"
 	"pvcsim/internal/runner"
-	"pvcsim/internal/telemetry"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 	"pvcsim/internal/workload"
@@ -39,12 +38,7 @@ func main() {
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = all CPUs")
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
-	var logf telemetry.LogFlags
-	logf.Register(flag.CommandLine)
 	flag.Parse()
-	if _, err := logf.Setup(os.Stderr); err != nil {
-		log.Fatal(err)
-	}
 	defer func() {
 		if err := obsf.Finish(os.Stderr); err != nil {
 			log.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"pvcsim/internal/power"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
-	"pvcsim/internal/telemetry"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 )
@@ -36,12 +35,7 @@ func main() {
 	jobs := flag.Int("jobs", 1, "parallel probe workers when observability output is requested; 0 = all CPUs")
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
-	var logf telemetry.LogFlags
-	logf.Register(flag.CommandLine)
 	flag.Parse()
-	if _, err := logf.Setup(os.Stderr); err != nil {
-		log.Fatal(err)
-	}
 
 	if *config != "" {
 		f, err := os.Open(*config)

@@ -43,7 +43,6 @@ import (
 	"pvcsim/internal/report"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
-	"pvcsim/internal/telemetry"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 	"pvcsim/internal/workload"
@@ -69,12 +68,7 @@ func main() {
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = all CPUs")
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
-	var logf telemetry.LogFlags
-	logf.Register(flag.CommandLine)
 	flag.Parse()
-	if _, err := logf.Setup(os.Stderr); err != nil {
-		log.Fatal(err)
-	}
 
 	study := core.NewParallelStudy(*jobs)
 	obsf.Attach(study.Runner())

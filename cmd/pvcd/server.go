@@ -737,8 +737,8 @@ func refineTraceSpans(tr *reqtrace.Trace, rep *wallprof.Report) {
 }
 
 // historyRecord freezes one finished run into its journal record. Sim
-// keys use the bench format "workload:metric[/scope]@system" so
-// `pvcprof history` can diff them against BENCH_*.json baselines.
+// keys use the bench format of runner.SimFOMs so `pvcprof history` can
+// diff them against BENCH_*.json baselines.
 func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wt wallprof.Totals) history.Record {
 	rn.mu.Lock()
 	status := rn.status
@@ -764,21 +764,7 @@ func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wt wallp
 			BuildMS:     sumSeconds(wt.BuildSeconds) * 1e3,
 			SimulateMS:  sumSeconds(wt.SimulateSeconds) * 1e3,
 		},
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			continue
-		}
-		for _, v := range res.Result.Values {
-			key := res.Name + ":" + v.Metric
-			if v.Scope != "" {
-				key += "/" + v.Scope
-			}
-			if rec.Sim == nil {
-				rec.Sim = map[string]float64{}
-			}
-			rec.Sim[key+"@"+res.System.String()] = v.Value
-		}
+		Sim: runner.SimFOMs(results),
 	}
 	return rec
 }

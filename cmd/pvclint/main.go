@@ -8,7 +8,7 @@
 //	maprange      no map iteration order reaching slices or output unsorted
 //	seededrand    no global math/rand draws; inject a seeded *rand.Rand
 //	floateq       no exact ==/!= on floats in model code
-//	recorderguard every obs/prof Recorder call dominated by a nil check
+//	recorderguard every obs.Recorder call dominated by a nil check
 //	boundtag      constant bound tags drawn from the closed prof taxonomy
 //	timeunit      no raw float64 seconds crossing call boundaries in model code
 //
@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	"pvcsim/internal/analysis"
-	"pvcsim/internal/telemetry"
 )
 
 func main() {
@@ -51,17 +50,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of file:line text")
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *asJSON && *asSARIF {
 		fmt.Fprintln(stderr, "pvclint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvclint:", err)
 		return 2
 	}
 	if *list {

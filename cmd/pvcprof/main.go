@@ -1,7 +1,8 @@
 // Command pvcprof inspects and guards the simulator's bound-attribution
 // profiles: it renders per-cell residency tables and folded-stack
 // flamegraphs from a -profile export, compares two exports with
-// per-metric thresholds, and maintains the repo's bench trajectory.
+// per-metric thresholds, and maintains the repo's bench trajectory of
+// simulated figures of merit.
 //
 // Usage:
 //
@@ -11,29 +12,23 @@
 //	pvcprof bench [flags]                  run the bench set, append a record
 //	pvcprof wall report wall.json          per-cell phase and engine table
 //	pvcprof wall flame wall.json           wall-time folded stacks
-//	pvcprof wall diff [flags] a.json b.json compare two wall self-profiles
 //	pvcprof history [flags] history.jsonl  pvcd run-history trends + regression flags
 //
-// diff accepts any pvcsim export — a -profile file, a -metrics file, a
-// -wallprof file, or a bench record array (the last record is compared)
-// — and exits 1 when a simulated metric drifted beyond its threshold.
-// Simulated figures are deterministic, so the default threshold is
-// exact equality; wall-clock figures only ever warn unless
-// -fail-on-wall is set. An input missing a wall stat the other carries
-// is noted, never treated as zero.
+// diff accepts a -profile file, a -metrics file, or a bench record
+// array (the last record is compared) and exits 1 when a simulated
+// metric drifted beyond its threshold. Simulated figures are
+// deterministic, so the default threshold is exact equality:
 //
-// wall inspects the simulator's wall-clock self-profile (a -wallprof
+//	pvcprof diff -rel-tol 0.01 -metric-tol 'cloverleaf:CloverLeaf/One GPU@Aurora=0.05' old.json new.json
+//
+// wall renders the simulator's wall-clock self-profile (a -wallprof
 // export): where host time went — runner phases (build, simulate,
-// cache wait), the engine's event-loop time and event counts.
-//
-//	pvcprof diff -rel-tol 0.01 -metric-tol 'wall.run_ms=0.5' old.json new.json
+// cache wait), the engine's event-loop time and event counts. Wall time
+// is never diffed here; the e2ebench benchmark measures it.
 //
 // bench runs the six Table V/VI figure-of-merit workloads through the
-// parallel runner, records their simulated FOMs plus the wall-clock
-// cost of the run itself, and appends the record to BENCH_<date>.json
-// (override with -out). Simulated and wall-clock quantities live in
-// separate fields of the record, so diffing the file hard-fails only on
-// simulated drift.
+// parallel runner, records their simulated FOMs, and appends the record
+// to BENCH_<date>.json (override with -out).
 package main
 
 import (
@@ -44,7 +39,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -52,7 +46,6 @@ import (
 	"pvcsim/internal/prof"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
-	"pvcsim/internal/telemetry"
 	"pvcsim/internal/wallprof"
 )
 
@@ -62,7 +55,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "pvcprof: usage: pvcprof report|flame|diff|bench|wall [flags] [files]")
+		fmt.Fprintln(stderr, "pvcprof: usage: pvcprof report|flame|diff|bench|wall|history [flags] [files]")
 		return 2
 	}
 	switch args[0] {
@@ -87,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runWall dispatches the wall-clock self-profile views.
 func runWall(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "pvcprof wall: usage: pvcprof wall report|flame|diff [flags] [files]")
+		fmt.Fprintln(stderr, "pvcprof wall: usage: pvcprof wall report|flame wall.json")
 		return 2
 	}
 	switch args[0] {
@@ -95,13 +88,8 @@ func runWall(args []string, stdout, stderr io.Writer) int {
 		return runWallRender(args[1:], stdout, stderr, "report", (*wallprof.Report).WriteReport)
 	case "flame":
 		return runWallRender(args[1:], stdout, stderr, "flame", (*wallprof.Report).WriteFlame)
-	case "diff":
-		// ParseMetrics recognizes wall profiles, so the shared diff
-		// path compares them (every metric wall-classed: warnings
-		// unless -fail-on-wall).
-		return runDiff(args[1:], stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "pvcprof wall: unknown subcommand %q (want report, flame, or diff)\n", args[0])
+		fmt.Fprintf(stderr, "pvcprof wall: unknown subcommand %q (want report or flame)\n", args[0])
 		return 2
 	}
 }
@@ -112,16 +100,13 @@ func loadWall(path string) (*wallprof.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := prof.ParseMetrics(data)
-	if err != nil {
-		return nil, err
-	}
-	if m.Source != "wall" {
-		return nil, fmt.Errorf("%s is a %s export; wall report/flame need a -wallprof file", path, m.Source)
-	}
 	var r wallprof.Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s is not a -wallprof export: %w", path, err)
+	}
+	if r.WallSchema != wallprof.WallSchemaVersion {
+		return nil, fmt.Errorf("%s: wall_schema_version %d, this build understands %d (wall report/flame need a -wallprof file)",
+			path, r.WallSchema, wallprof.WallSchemaVersion)
 	}
 	return &r, nil
 }
@@ -131,13 +116,7 @@ func runWallRender(args []string, stdout, stderr io.Writer, name string,
 	render func(*wallprof.Report, io.Writer) error) int {
 	fs := flag.NewFlagSet("pvcprof wall "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintf(stderr, "pvcprof wall %s: %v\n", name, err)
 		return 2
 	}
 	if fs.NArg() != 1 {
@@ -182,13 +161,7 @@ func runRender(args []string, stdout, stderr io.Writer, name string,
 	render func(*prof.Profile, io.Writer) error) int {
 	fs := flag.NewFlagSet("pvcprof "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintf(stderr, "pvcprof %s: %v\n", name, err)
 		return 2
 	}
 	if fs.NArg() != 1 {
@@ -212,10 +185,6 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	relTol := fs.Float64("rel-tol", 0,
 		"relative tolerance for simulated metrics (0 = exact: any drift fails)")
-	wallTol := fs.Float64("wall-rel-tol", 0.25,
-		"relative tolerance for wall-clock metrics before a warning is printed")
-	failOnWall := fs.Bool("fail-on-wall", false,
-		"treat wall-clock drift beyond its tolerance as a failure, not a warning")
 	perMetric := map[string]float64{}
 	fs.Func("metric-tol", "per-metric override, `name=reltol` (repeatable)", func(v string) error {
 		name, val, ok := strings.Cut(v, "=")
@@ -229,13 +198,7 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		perMetric[name] = tol
 		return nil
 	})
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvcprof diff:", err)
 		return 2
 	}
 	if fs.NArg() != 2 {
@@ -264,17 +227,12 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 			oldM.Source, newM.Source)
 		return 2
 	}
-	res := prof.Diff(oldM, newM, prof.DiffOptions{
-		RelTol: *relTol, WallRelTol: *wallTol, FailOnWall: *failOnWall, PerMetric: perMetric,
-	})
+	res := prof.Diff(oldM, newM, prof.DiffOptions{RelTol: *relTol, PerMetric: perMetric})
 	for _, m := range res.Missing {
 		fmt.Fprintf(stdout, "FAIL %s: present in old, missing in new\n", m)
 	}
 	for _, l := range res.Regressions {
 		fmt.Fprintf(stdout, "FAIL %s\n", l)
-	}
-	for _, l := range res.Warnings {
-		fmt.Fprintf(stdout, "warn %s\n", l)
 	}
 	for _, n := range res.Notes {
 		fmt.Fprintf(stdout, "note %s\n", n)
@@ -282,19 +240,11 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	for _, m := range res.Added {
 		fmt.Fprintf(stdout, "note %s: new metric, no baseline\n", m)
 	}
-	for _, m := range res.WallMissing {
-		fmt.Fprintf(stdout, "note %s: %s lacks this wall stat (recorded without self-profiling?); not compared\n",
-			m, fs.Arg(1))
-	}
 	if res.Failed() {
 		fmt.Fprintf(stderr, "pvcprof diff: %d regression(s)\n", len(res.Regressions)+len(res.Missing))
 		return 1
 	}
-	if oldM.Source == "wall" {
-		fmt.Fprintf(stdout, "ok: %d wall stat(s) compared (warnings only unless -fail-on-wall)\n", len(oldM.Wall))
-	} else {
-		fmt.Fprintf(stdout, "ok: %d simulated metric(s) within tolerance\n", len(oldM.Sim))
-	}
+	fmt.Fprintf(stdout, "ok: %d simulated metric(s) within tolerance\n", len(oldM.Sim))
 	return 0
 }
 
@@ -311,13 +261,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	label := fs.String("label", "", "free-form label stored in the record (e.g. a commit hash)")
 	date := fs.String("date", "", "record date as YYYY-MM-DD (default: today)")
 	out := fs.String("out", "", "bench file to append to (default: BENCH_<date>.json)")
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvcprof bench:", err)
 		return 2
 	}
 	if fs.NArg() != 0 {
@@ -332,11 +276,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	}
 
 	reg := sweep.DefaultRegistry()
-	r := runner.New(*jobs)
-	// Bench runs always self-profile: the build and simulate phase
-	// totals land in the record's wall side next to raw run time.
-	wc := wallprof.New()
-	r.ProfileWall(wc)
 	var cells []runner.Cell
 	for _, name := range benchWorkloads {
 		w, ok := reg.Get(name)
@@ -350,55 +289,26 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	}
 
 	begin := time.Now()
-	results := r.Run(context.Background(), cells)
-	wall := time.Since(begin)
-
-	tot := wc.Report().Totals()
-	buildMS, simMS := 0.0, 0.0
-	for _, s := range tot.BuildSeconds {
-		buildMS += s * 1e3
-	}
-	for _, s := range tot.SimulateSeconds {
-		simMS += s * 1e3
+	results := runner.New(*jobs).Run(context.Background(), cells)
+	elapsed := time.Since(begin)
+	for _, res := range results {
+		if res.Err != nil {
+			fmt.Fprintf(stderr, "pvcprof bench: %s on %s: %v\n", res.Name, res.System, res.Err)
+			return 2
+		}
 	}
 	rec := prof.Record{
 		Schema:    prof.BenchSchemaVersion,
 		Date:      *date,
 		Label:     *label,
 		GoVersion: runtime.Version(),
-		Sim:       map[string]float64{},
-		Wall: prof.WallStats{
-			RunMS:      float64(wall) / float64(time.Millisecond),
-			Jobs:       *jobs,
-			Cells:      len(cells),
-			BuildMS:    buildMS,
-			SimulateMS: simMS,
-		},
+		Sim:       runner.SimFOMs(results),
 	}
-	for _, res := range results {
-		if res.Err != nil {
-			fmt.Fprintf(stderr, "pvcprof bench: %s on %s: %v\n", res.Name, res.System, res.Err)
-			return 2
-		}
-		for _, v := range res.Result.Values {
-			key := res.Name + ":" + v.Metric
-			if v.Scope != "" {
-				key += "/" + v.Scope
-			}
-			rec.Sim[key+"@"+res.System.String()] = v.Value
-		}
-	}
-
 	if err := prof.AppendRecord(*out, rec); err != nil {
 		fmt.Fprintf(stderr, "pvcprof bench: %v\n", err)
 		return 2
 	}
-	names := make([]string, 0, len(rec.Sim))
-	for n := range rec.Sim {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Fprintf(stdout, "recorded %d simulated FOM(s) over %d cell(s) in %s (jobs=%d) -> %s\n",
-		len(names), len(cells), wall.Round(time.Millisecond), *jobs, *out)
+		len(rec.Sim), len(cells), elapsed.Round(time.Millisecond), *jobs, *out)
 	return 0
 }

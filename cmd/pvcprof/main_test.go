@@ -103,26 +103,6 @@ func TestDiffExitCodes(t *testing.T) {
 	}
 }
 
-func TestDiffWallWarnsByDefault(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "old.json", benchJSON(100))
-	slow := writeFile(t, dir, "slow.json",
-		`[{"schema_version": 1, "date": "2026-01-02",
-  "sim": {"cloverleaf:grind/cell@Aurora": 100},
-  "wall": {"run_ms": 400, "jobs": 1, "cells": 1}}]`)
-	var out, errb bytes.Buffer
-	if code := run([]string{"diff", base, slow}, &out, &errb); code != 0 {
-		t.Fatalf("wall-only drift: exit %d, want 0 (warn)\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "warn wall.run_ms") {
-		t.Fatalf("missing wall warning:\n%s", out.String())
-	}
-	out.Reset()
-	if code := run([]string{"diff", "-fail-on-wall", base, slow}, &out, &errb); code != 1 {
-		t.Fatalf("-fail-on-wall: exit %d, want 1\n%s", code, out.String())
-	}
-}
-
 func TestDiffRefusesMixedSources(t *testing.T) {
 	dir := t.TempDir()
 	bench := writeFile(t, dir, "bench.json", benchJSON(100))
@@ -145,6 +125,7 @@ func TestUsageErrors(t *testing.T) {
 		{"report"},
 		{"diff", "only-one.json"},
 		{"bench", "stray-arg"},
+		{"wall", "diff", "a.json", "b.json"},
 	} {
 		if code := run(args, &out, &errb); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
@@ -251,87 +232,78 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 		t.Fatalf("wall flame missing engine stack:\n%s", out.String())
 	}
 
-	// Two wall profiles of the same run differ only in wall time: the
-	// diff must never fail by default, whatever the drift.
-	out.Reset()
-	if code := run([]string{"wall", "diff", a, b}, &out, &errb); code != 0 {
-		t.Fatalf("wall diff: exit %d, want 0 (wall drift warns)\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "wall stat(s) compared") {
-		t.Fatalf("wall diff ok line missing:\n%s", out.String())
-	}
-
-	// wall report refuses other export kinds, naming what it got.
-	bench := writeFile(t, dir, "bench.json", benchJSON(1))
+	// Wall profiles hold only wall time, which diff never compares: it
+	// refuses them by name rather than reporting a vacuous "ok".
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"wall", "report", bench}, &out, &errb); code != 2 {
-		t.Fatalf("wall report on a bench file: exit %d, want 2", code)
+	if code := run([]string{"diff", a, b}, &out, &errb); code != 2 {
+		t.Fatalf("diff of two wall profiles: exit %d, want 2\nstdout:\n%s", code, out.String())
 	}
-	if !strings.Contains(errb.String(), "is a bench export") {
+	if !strings.Contains(errb.String(), "not diffed") {
 		t.Fatalf("stderr:\n%s", errb.String())
 	}
-}
 
-func TestDiffNotesMissingWallStats(t *testing.T) {
-	dir := t.TempDir()
-	// Old record carries self-profile stats (and event-lane stats from
-	// the retired parallel engine, which decoding ignores); new one
-	// predates them. The diff must say so instead of comparing against
-	// zero.
-	withStats := writeFile(t, dir, "with.json",
-		`[{"schema_version": 1, "date": "2026-01-01",
-  "sim": {"cloverleaf:grind/cell@Aurora": 100},
-  "wall": {"run_ms": 100, "jobs": 1, "cells": 1,
-           "build_ms": 10, "simulate_ms": 80,
-           "lane_busy_ms": 80, "lane_stall_ms": 5, "barrier_ms": 2,
-           "engine_rounds": 40, "mailbox_msgs": 12, "mean_lane_util": 0.8}}]`)
-	without := writeFile(t, dir, "without.json", benchJSON(100))
-	var out, errb bytes.Buffer
-	if code := run([]string{"diff", withStats, without}, &out, &errb); code != 0 {
-		t.Fatalf("missing wall stats must not fail: exit %d\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "note wall.simulate_ms") ||
-		!strings.Contains(out.String(), "lacks this wall stat") {
-		t.Fatalf("missing-wall note absent:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "warn wall.simulate_ms") {
-		t.Fatalf("absent wall stat was compared as zero:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "lane") {
-		t.Fatalf("retired event-lane stats reached the diff:\n%s", out.String())
+	// wall report refuses other export kinds.
+	bench := writeFile(t, dir, "bench.json", benchJSON(1))
+	profile := writeFile(t, dir, "profile.json", `{"schema_version": 1, "cells": []}`)
+	for _, path := range []string{bench, profile} {
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{"wall", "report", path}, &out, &errb); code != 2 {
+			t.Fatalf("wall report on %s: exit %d, want 2", path, code)
+		}
+		if !strings.Contains(errb.String(), "-wallprof") {
+			t.Fatalf("stderr:\n%s", errb.String())
+		}
 	}
 }
 
-// TestDiffCommittedLaneRecord diffs the committed BENCH_2026-08-08.json
-// record, written while the event-lane engine still existed (it carries
-// lane_jobs), against a fresh bench record: the old record must still
-// parse and its simulated figures must diff clean.
+// TestDiffCommittedLaneRecord diffs the committed bench records against
+// a fresh bench record: BENCH_2026-08-08.json, written while the
+// event-lane engine still existed (its wall object carries lane_jobs),
+// and BENCH_baseline.json, the schema-1 record CI gates on. Both must
+// still parse, their wall objects must be ignored, and their simulated
+// figures must diff clean.
 func TestDiffCommittedLaneRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench run over the FOM set")
-	}
-	old := filepath.Join("..", "..", "BENCH_2026-08-08.json")
-	raw, err := os.ReadFile(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"lane_jobs"`) {
-		t.Fatalf("%s no longer carries lane_jobs; the test lost its subject", old)
 	}
 	fresh := filepath.Join(t.TempDir(), "fresh.json")
 	var out, errb bytes.Buffer
 	if code := run([]string{"bench", "-date", "2026-01-01", "-out", fresh}, &out, &errb); code != 0 {
 		t.Fatalf("bench: exit %d, stderr:\n%s", code, errb.String())
 	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"diff", old, fresh}, &out, &errb); code != 0 {
-		t.Fatalf("diff against the committed lane-era record: exit %d\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "simulated metric(s) within tolerance") {
-		t.Fatalf("diff ok line missing:\n%s", out.String())
+	for _, tc := range []struct {
+		file    string
+		subject string // raw content the case exists to exercise
+		note    string // required diff output
+	}{
+		{file: "BENCH_2026-08-08.json", subject: `"lane_jobs"`},
+		{file: "BENCH_baseline.json", subject: `"wall"`, note: "note bench schema_version differs: old 1 vs new 3"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			old := filepath.Join("..", "..", tc.file)
+			raw, err := os.ReadFile(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(raw), tc.subject) {
+				t.Fatalf("%s no longer carries %s; the case lost its subject", old, tc.subject)
+			}
+			var out, errb bytes.Buffer
+			if code := run([]string{"diff", old, fresh}, &out, &errb); code != 0 {
+				t.Fatalf("diff against the committed record: exit %d\n%s%s", code, out.String(), errb.String())
+			}
+			if !strings.Contains(out.String(), "simulated metric(s) within tolerance") {
+				t.Fatalf("diff ok line missing:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), tc.note) {
+				t.Fatalf("diff output lacks %q:\n%s", tc.note, out.String())
+			}
+			if strings.Contains(out.String(), "wall") || strings.Contains(out.String(), "lane") {
+				t.Fatalf("the committed record's wall object reached the diff:\n%s", out.String())
+			}
+		})
 	}
 }
 
@@ -350,7 +322,7 @@ func TestBenchAppendsAndDiffsClean(t *testing.T) {
 		t.Fatalf("bench jobs=2: exit %d, stderr:\n%s", code, errb.String())
 	}
 	// Two separate runs: the simulated figures must diff clean at exact
-	// tolerance whatever the parallelism; wall time may warn.
+	// tolerance whatever the parallelism.
 	out.Reset()
 	errb.Reset()
 	if code := run([]string{"diff", out1, out2}, &out, &errb); code != 0 {
@@ -368,10 +340,14 @@ func TestBenchAppendsAndDiffsClean(t *testing.T) {
 	if len(recs) != 2 || recs[1].Label != "again" || recs[1].Date != "2026-01-03" {
 		t.Fatalf("records after append: %+v", recs)
 	}
-	if recs[0].Wall.Cells == 0 || len(recs[0].Sim) == 0 {
-		t.Fatalf("bench record is empty: %+v", recs[0])
+	if len(recs[0].Sim) == 0 || recs[0].Schema != prof.BenchSchemaVersion || recs[0].GoVersion == "" {
+		t.Fatalf("bench record incomplete: %+v", recs[0])
 	}
-	if !recs[0].Wall.HasSelfProfile() {
-		t.Fatalf("bench record lacks self-profile stats: %+v", recs[0].Wall)
+	raw, err := os.ReadFile(out1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"wall"`) {
+		t.Fatalf("bench record carries a wall object:\n%s", raw)
 	}
 }

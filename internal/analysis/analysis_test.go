@@ -150,7 +150,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		// a non-simulation path are clean.
 		{dir: "floateq", asPath: "pvcsim/internal/report/floatfixture", noWants: true},
 		{dir: "recorderguard", asPath: "pvcsim/internal/mem/fixture"},
-		{dir: "profguard", asPath: "pvcsim/internal/perfmodel/proffixture"},
 		{dir: "directive", asPath: "pvcsim/internal/power/fixture"},
 		// The closed bound taxonomy and seconds-as-float64.
 		{dir: "boundtag", asPath: "pvcsim/internal/fabric/boundfixture"},

@@ -4,8 +4,9 @@
 // switch over the fixed tags must be exhaustive or carry a default.
 package boundfixture
 
-// Sample mimics prof.Sample's shape: the analyzer keys on the
-// parameter name "bound" in the callee's signature.
+// Sample stands in for any callee with a "bound" parameter (such as
+// fabric.StartBound): the analyzer keys on the parameter name in the
+// callee's signature, not on the callee.
 func Sample(r any, bound string, v float64) {}
 
 // Span mimics obs.Span's tagged field.

@@ -92,3 +92,11 @@ func badElse(r obs.Recorder) {
 		r.Add("boom", 1) // want `r\.Add is called without a dominating nil check`
 	}
 }
+
+// A concrete *obs.Trace is not the Recorder interface: calls on it are
+// not hot-path calls and need no guard.
+func goodConcrete() int {
+	tr := obs.NewTrace()
+	tr.Add("x", 1)
+	return tr.Len()
+}

@@ -261,9 +261,8 @@ type Model struct {
 	Cal *Calibration
 	Var Variant
 
-	obs  obs.Recorder
-	prof prof.Recorder
-	mem  *mem.Hierarchy
+	obs obs.Recorder
+	mem *mem.Hierarchy
 }
 
 // Observe attaches a recorder to the model and its governor. Timed
@@ -273,11 +272,6 @@ func (m *Model) Observe(r obs.Recorder) {
 	m.obs = r
 	m.Gov.Observe(r)
 }
-
-// SetProfiler attaches a bound-attribution recorder: every priced
-// launch then samples its Attribution for the span's full duration.
-// Like Observe, nil detaches and keeps the hot path free.
-func (m *Model) SetProfiler(r prof.Recorder) { m.prof = r }
 
 // New builds a model for the node with the shared, read-only default
 // calibration.
@@ -410,9 +404,6 @@ func (m *Model) SubdeviceTime(p Profile) units.Seconds {
 		if m.Gov.Throttled(p.Engine, p.Precision) {
 			m.obs.Add("power.throttled_s", float64(t+launch))
 		}
-	}
-	if m.prof != nil {
-		m.prof.Sample(m.Attribution(p), float64(t+launch))
 	}
 	return t + launch
 }

@@ -13,8 +13,8 @@
 // transfer path, fabric carries the tag onto flow spans — and this
 // package only aggregates. Everything here is derived from simulated
 // quantities, so profiles and flamegraphs are byte-identical however
-// many workers the runner uses; wall-clock exists only in the bench
-// records (bench.go), clearly separated from simulated figures.
+// many workers the runner uses. Nothing here reads the wall clock:
+// wall time is internal/wallprof's and the e2ebench benchmark's.
 package prof
 
 import (
@@ -77,45 +77,3 @@ func KnownBound(tag string) bool {
 	}
 	return strings.HasPrefix(tag, "compute.") || strings.HasPrefix(tag, "cache.")
 }
-
-// Recorder receives bound-attributed time samples from the performance
-// model as it prices kernel launches. Like obs.Recorder, a nil Recorder
-// is the hot-path default: model code must nil-check before calling (or
-// go through Sample), an invariant pvclint's recorderguard enforces.
-type Recorder interface {
-	// Sample attributes seconds of simulated time to the bound tag.
-	Sample(bound string, seconds float64)
-}
-
-// Sample records a sample on r, tolerating a nil recorder.
-func Sample(r Recorder, bound string, seconds float64) {
-	if r != nil {
-		r.Sample(bound, seconds)
-	}
-}
-
-// Tally is the standard Recorder: a per-cell accumulation of simulated
-// seconds by bound tag. The zero value is not usable; call NewTally.
-type Tally struct {
-	byBound map[string]float64
-}
-
-// NewTally returns an empty tally.
-func NewTally() *Tally { return &Tally{byBound: map[string]float64{}} }
-
-// Sample implements Recorder.
-func (t *Tally) Sample(bound string, seconds float64) { t.byBound[bound] += seconds }
-
-// Total returns the attributed simulated seconds across all bounds,
-// summed in sorted-tag order so the result is bit-identical run to run.
-func (t *Tally) Total() float64 {
-	total := 0.0
-	for _, b := range sortedBounds(t.byBound) {
-		total += t.byBound[b]
-	}
-	return total
-}
-
-// Shares returns the tally as residency shares sorted by bound tag,
-// with fractions of the attributed total.
-func (t *Tally) Shares() []BoundShare { return tallyShares(t.byBound) }

@@ -334,3 +334,28 @@ func Cells(reg *workload.Registry) []Cell {
 func (r *Runner) RunAll(ctx context.Context, reg *workload.Registry) []CellResult {
 	return r.Run(ctx, Cells(reg))
 }
+
+// SimFOMs flattens the simulated figures of merit of results into the
+// bench-key format "workload:metric[/scope]@system" shared by pvcprof
+// bench records and the pvcd run-history journal, so `pvcprof history`
+// can gate journal FOMs against a bench baseline. Failed cells are
+// skipped; nil when no cell produced a value.
+func SimFOMs(results []CellResult) map[string]float64 {
+	var out map[string]float64
+	for _, res := range results {
+		if res.Err != nil {
+			continue
+		}
+		for _, v := range res.Result.Values {
+			key := res.Name + ":" + v.Metric
+			if v.Scope != "" {
+				key += "/" + v.Scope
+			}
+			if out == nil {
+				out = map[string]float64{}
+			}
+			out[key+"@"+res.System.String()] = v.Value
+		}
+	}
+	return out
+}

@@ -255,3 +255,24 @@ func ExampleRunner_RunOne() {
 	fmt.Printf("%s %.2f %s\n", res.Workload, v.Value, v.Unit)
 	// Output: triad 1.00 TB/s
 }
+
+// SimFOMs is the one place the bench key format lives: pvcprof bench
+// records and the pvcd history journal must produce the same keys, and
+// a failed cell contributes nothing rather than zeros.
+func TestSimFOMs(t *testing.T) {
+	results := []CellResult{
+		{System: topology.Aurora, Name: "w", Result: workload.Result{Values: []workload.Value{
+			{Metric: "bw", Scope: "One GPU", Value: 2},
+			{Metric: "grind", Value: 3},
+		}}},
+		{System: topology.Dawn, Name: "w", Err: errors.New("boom"),
+			Result: workload.Result{Values: []workload.Value{{Metric: "bw", Value: 9}}}},
+	}
+	want := map[string]float64{"w:bw/One GPU@Aurora": 2, "w:grind@Aurora": 3}
+	if got := SimFOMs(results); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SimFOMs = %v, want %v", got, want)
+	}
+	if got := SimFOMs(results[1:]); got != nil {
+		t.Fatalf("SimFOMs of a failed cell = %v, want nil", got)
+	}
+}

@@ -54,10 +54,10 @@ func (h runIDHandler) WithGroup(name string) slog.Handler {
 	return runIDHandler{inner: h.inner.WithGroup(name)}
 }
 
-// LogFlags is the structured-logging flag set shared by every command:
-// -log-format selects the slog handler encoding and -log-level the
-// verbosity floor. Register it on a flag.FlagSet, then call Setup after
-// parsing.
+// LogFlags is pvcd's structured-logging flag set (the daemon is the
+// one command that logs): -log-format selects the slog handler encoding
+// and -log-level the verbosity floor. Register it on a flag.FlagSet,
+// then call Setup after parsing.
 type LogFlags struct {
 	Format string
 	Level  string
@@ -91,12 +91,12 @@ func (f *LogFlags) Handler(w io.Writer) (slog.Handler, error) {
 	return runIDHandler{inner: h}, nil
 }
 
-// Setup builds the handler and returns its logger. Commands call it
-// right after flag.Parse. It deliberately does NOT install the logger
-// as the process-wide slog default: slog.SetDefault also reroutes the
-// legacy log package through the handler, which would wrap the CLIs'
-// plain log.Fatal diagnostics in timestamped INFO records. Daemons
-// that want the default (pvcd) call slog.SetDefault themselves.
+// Setup builds the handler and returns its logger, to be called right
+// after parsing. It deliberately does NOT install the logger as the
+// process-wide slog default: slog.SetDefault also reroutes the legacy
+// log package through the handler, which would wrap plain log.Fatal
+// diagnostics in timestamped INFO records. A daemon that wants the
+// default (pvcd) calls slog.SetDefault itself.
 func (f *LogFlags) Setup(w io.Writer) (*slog.Logger, error) {
 	h, err := f.Handler(w)
 	if err != nil {
