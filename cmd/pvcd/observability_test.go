@@ -13,10 +13,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pvcsim/internal/history"
+	"pvcsim/internal/reqtrace"
 	"pvcsim/internal/telemetry"
 )
 
@@ -443,7 +445,7 @@ func TestReqtraceExportIsChromeJSON(t *testing.T) {
 	if err := json.Unmarshal(body, &file); err != nil {
 		t.Fatalf("reqtrace export is not JSON: %v", err)
 	}
-	wantSpans := map[string]bool{"queue-wait": false, "run": false}
+	wantSpans := map[string]bool{"queue-wait": false, "run": false, "build": false, "simulate": false, "export": false}
 	runTrace := false
 	for _, e := range file.TraceEvents {
 		if _, ok := wantSpans[e.Name]; ok {
@@ -497,5 +499,80 @@ func TestHTTPDurationHistogram(t *testing.T) {
 	// daemon's own samples must be a finite number.
 	if q := s.tele.HTTPDuration.With("runs_submit", "ok").Quantile(0.99); q != q || q < 0 {
 		t.Fatalf("p99 = %g, want finite non-negative", q)
+	}
+}
+
+// TestRunPhaseSpansNestInRunSpan: each cell's build and simulate spans
+// are stamped on the run trace's own clock as the phase ends. On a
+// counter clock the build starts strictly after the cell's run span
+// starts, simulate starts no earlier than build ends, and both end
+// inside the run span.
+func TestRunPhaseSpansNestInRunSpan(t *testing.T) {
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), 1)
+	var tick atomic.Int64
+	s.tracer = reqtrace.NewWithClock(func() int64 { return tick.Add(1) }, "")
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	rn := waitRun(t, s, submitRun(t, ts, `{"workload":"p2p","systems":["aurora"]}`))
+
+	spans := map[string]reqtrace.Span{}
+	for _, sp := range rn.trace.Spans() {
+		if _, dup := spans[sp.Name]; dup {
+			t.Fatalf("two %q spans in a one-cell run: %+v", sp.Name, rn.trace.Spans())
+		}
+		spans[sp.Name] = sp
+	}
+	for _, name := range []string{"queue-wait", "run", "build", "simulate", "export"} {
+		if _, ok := spans[name]; !ok {
+			t.Fatalf("run trace has no %q span: %+v", name, rn.trace.Spans())
+		}
+	}
+	run, build, sim := spans["run"], spans["build"], spans["simulate"]
+	if build.Detail != run.Detail || sim.Detail != run.Detail {
+		t.Errorf("details run=%q build=%q simulate=%q, want one cell", run.Detail, build.Detail, sim.Detail)
+	}
+	if build.Start <= run.Start {
+		t.Errorf("build starts at %d, want after the run span's start %d", build.Start, run.Start)
+	}
+	if sim.Start < build.End {
+		t.Errorf("simulate starts at %d, before build ends at %d", sim.Start, build.End)
+	}
+	if build.End > run.End || sim.End > run.End {
+		t.Errorf("build ends %d, simulate ends %d: past the run span's end %d", build.End, sim.End, run.End)
+	}
+}
+
+// TestPhaseHistogramCountsArtifactsRun: an artifacts run feeds the
+// runner phase histogram one build and one simulate sample per computed
+// cell, one cache-wait sample per memo-served key and one export sample.
+func TestPhaseHistogramCountsArtifactsRun(t *testing.T) {
+	s, ts := testServer(t, 2)
+	rn := waitRun(t, s, submitRun(t, ts, `{"artifacts":true,"jobs":2}`))
+	if st := s.statusOf(rn); st.Status != "done" {
+		t.Fatalf("run = %s (error %q)", st.Status, st.Error)
+	}
+	served := map[string]bool{}
+	for _, sp := range rn.trace.Spans() {
+		if sp.Name == "cache-lookup" {
+			served[sp.Detail] = true
+		}
+	}
+	computed := float64(rn.stats.Computed())
+	if computed == 0 || len(served) == 0 {
+		t.Fatalf("computed=%g memo-served keys=%d, want both nonzero", computed, len(served))
+	}
+	fams, err := telemetry.ParseMetrics(bytes.NewReader(getBytes(t, ts.URL+"/metrics")))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	want := map[string]float64{
+		"build": computed, "simulate": computed,
+		"cache-wait": float64(len(served)), "export": 1,
+	}
+	for phase, n := range want {
+		got, ok := fams.Value("pvcsim_runner_phase_seconds_count", map[string]string{"phase": phase})
+		if !ok || got != n {
+			t.Errorf("runner_phase_seconds_count{%s} = %v (present=%v), want %g", phase, got, ok, n)
+		}
 	}
 }

@@ -609,11 +609,13 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	col := obs.NewCollector()
 	r.Observe(col)
 	// Wall-clock self-profiling and request tracing ride along on every
-	// run: wallprof totals feed the runner phase histogram scraped at
-	// /metrics, and the run's trace records queue-wait / run /
-	// cache-lookup spans per cell. Pure side channels — the simulated
-	// artifacts below are unaffected.
-	wall := wallprof.New()
+	// run, on one clock: the collector reads the run trace's clock and
+	// writes each cell's build and simulate spans into it as the phase
+	// ends, next to the queue-wait / run / cache-lookup spans the hooks
+	// record. Its report feeds the runner phase histogram scraped at
+	// /metrics and the history record. Pure side channels — the
+	// simulated artifacts below are unaffected.
+	wall := wallprof.NewOnTrace(rn.trace)
 	r.ProfileWall(wall)
 	r.AddHooks(s.teleHooks)
 	r.AddHooks(rn.stats)
@@ -623,8 +625,8 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	results := r.Run(ctx, cells)
 
 	// Export phase: render the downloadable artifacts and the metrics
-	// JSON, timed into both the wallprof report and the run's trace.
-	expWall, expTrace := wall.Now(), rn.trace.Now()
+	// JSON, timed once into both the wallprof report and the run's trace.
+	expStart := rn.trace.Now()
 	var zipBytes []byte
 	var artErr error
 	if study != nil && ctx.Err() == nil {
@@ -634,18 +636,28 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	s.tele.AddOrphanFinishes(rep.OrphanFinishes)
 	var metricsBuf bytes.Buffer
 	metricsErr := rep.WriteMetrics(&metricsBuf)
-	wall.AddExportNS(wall.Now() - expWall)
-	rn.trace.AddSpanAt("export", "artifacts + metrics render", expTrace, rn.trace.Now())
+	expEnd := rn.trace.Now()
+	wall.AddExportNS(expEnd - expStart)
+	rn.trace.AddSpanAt("export", "artifacts + metrics render", expStart, expEnd)
 
+	// One build and one simulate sample per cell, one cache-wait sample
+	// per memo-served cell, and the export when it took any time.
 	wallRep := wall.Report()
-	refineTraceSpans(rn.trace, wallRep)
-	wt := wallRep.Totals()
-	s.tele.ObserveEngine(telemetry.EngineRunStats{
-		BuildSeconds:     wt.BuildSeconds,
-		SimulateSeconds:  wt.SimulateSeconds,
-		CacheWaitSeconds: wt.CacheWaitSeconds,
-		ExportSeconds:    wt.ExportSeconds,
-	})
+	phase := s.tele.PhaseWall
+	wallStats := history.WallStats{ExportMS: wallRep.ExportMS}
+	for _, c := range wallRep.Cells {
+		phase.With("build").Observe(c.BuildMS / 1e3)
+		phase.With("simulate").Observe(c.SimulateMS / 1e3)
+		if c.CacheHits > 0 {
+			phase.With("cache-wait").Observe(c.CacheWaitMS / 1e3)
+		}
+		wallStats.BuildMS += c.BuildMS
+		wallStats.SimulateMS += c.SimulateMS
+		wallStats.CacheWaitMS += c.CacheWaitMS
+	}
+	if wallRep.ExportMS > 0 {
+		phase.With("export").Observe(wallRep.ExportMS / 1e3)
+	}
 
 	rn.mu.Lock()
 	rn.status = "done"
@@ -693,7 +705,7 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 		s.mu.Unlock()
 	}
 	if s.journal != nil {
-		if err := s.journal.Append(s.historyRecord(rn, results, wt)); err != nil {
+		if err := s.journal.Append(s.historyRecord(rn, results, wallStats)); err != nil {
 			s.log.ErrorContext(ctx, "history append failed", "err", err)
 		}
 	}
@@ -707,39 +719,11 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 		"panics", rn.stats.Panics(), "trace", rn.trace.ID())
 }
 
-// refineTraceSpans back-fills build/simulate spans into the run trace
-// from the wallprof report. Hooks only see cell start/finish; wallprof
-// knows how the computed time split, so each cell's "run" span gains a
-// build span followed by a simulate span of the measured durations
-// (placement is sequential from the run span's start — the real order).
-func refineTraceSpans(tr *reqtrace.Trace, rep *wallprof.Report) {
-	runStart := map[string]int64{}
-	for _, sp := range tr.Spans() {
-		if sp.Name == "run" {
-			runStart[sp.Detail] = sp.Start
-		}
-	}
-	for i := range rep.Cells {
-		c := &rep.Cells[i]
-		st, ok := runStart[c.Workload+" @ "+c.System]
-		if !ok {
-			continue
-		}
-		buildNS := int64(c.BuildMS * 1e6)
-		simNS := int64(c.SimulateMS * 1e6)
-		if buildNS > 0 {
-			tr.AddSpanAt("build", c.Workload+" @ "+c.System, st, st+buildNS)
-		}
-		if simNS > 0 {
-			tr.AddSpanAt("simulate", c.Workload+" @ "+c.System, st+buildNS, st+buildNS+simNS)
-		}
-	}
-}
-
-// historyRecord freezes one finished run into its journal record. Sim
-// keys use the bench format of runner.SimFOMs so `pvcprof history` can
-// diff them against BENCH_*.json baselines.
-func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wt wallprof.Totals) history.Record {
+// historyRecord freezes one finished run into its journal record, with
+// the run's wall phase totals (RunMS is filled in here). Sim keys use
+// the bench format of runner.SimFOMs so `pvcprof history` can diff them
+// against BENCH_*.json baselines.
+func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wall history.WallStats) history.Record {
 	rn.mu.Lock()
 	status := rn.status
 	rn.mu.Unlock()
@@ -747,7 +731,8 @@ func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wt wallp
 	if workload == "" {
 		workload = "all"
 	}
-	rec := history.Record{
+	wall.RunMS = float64(time.Since(rn.start)) / float64(time.Millisecond)
+	return history.Record{
 		ID:        rn.id,
 		TraceID:   rn.trace.ID(),
 		Start:     rn.start.UTC().Format(time.RFC3339Nano),
@@ -757,25 +742,9 @@ func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wt wallp
 		Cells:     len(results),
 		CacheHits: rn.stats.CacheHits(),
 		Panics:    rn.stats.Panics(),
-		Wall: history.WallStats{
-			RunMS:       float64(time.Since(rn.start)) / float64(time.Millisecond),
-			ExportMS:    wt.ExportSeconds * 1e3,
-			CacheWaitMS: sumSeconds(wt.CacheWaitSeconds) * 1e3,
-			BuildMS:     sumSeconds(wt.BuildSeconds) * 1e3,
-			SimulateMS:  sumSeconds(wt.SimulateSeconds) * 1e3,
-		},
-		Sim: runner.SimFOMs(results),
+		Wall:      wall,
+		Sim:       runner.SimFOMs(results),
 	}
-	return rec
-}
-
-// sumSeconds folds per-cell second samples into one total.
-func sumSeconds(xs []float64) float64 {
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // get looks a run up by the request's {id}.

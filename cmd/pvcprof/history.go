@@ -19,9 +19,10 @@ func tabWriter(w io.Writer) *tabwriter.Writer {
 // runHistory inspects a pvcd run-history journal: a trend table of the
 // recorded runs (newest last), wall-clock aggregates per workload, and
 // — when a baseline bench file is available — regression flags for the
-// latest run's simulated FOMs against the baseline's last record at
-// the usual exact-by-default tolerance. Exits 1 on a FOM regression,
-// 2 on usage or an unreadable journal.
+// latest run's simulated FOMs against the baseline's last record,
+// through prof.Diff with diff's exact-by-default -rel-tol and
+// -metric-tol. Exits 1 on a FOM regression, 2 on usage or an
+// unreadable journal.
 func runHistory(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pvcprof history", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -29,6 +30,7 @@ func runHistory(args []string, stdout, stderr io.Writer) int {
 		"bench file whose last record gates the latest run's FOMs ('' disables the check)")
 	relTol := fs.Float64("rel-tol", 0,
 		"relative tolerance for FOM drift against the baseline (0 = exact)")
+	perMetric := metricTolFlag(fs)
 	last := fs.Int("last", 0, "show only the newest N records in the trend table (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -132,42 +134,28 @@ func runHistory(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "note: no completed run carries simulated FOMs; nothing to gate")
 		return 0
 	}
+	// Diff only the keys both sides carry: a journal run covers one
+	// workload, the baseline the whole bench set.
 	ref := base[len(base)-1].Sim
-	keys := make([]string, 0, len(latest.Sim))
-	for k := range latest.Sim {
-		if _, ok := ref[k]; ok {
-			keys = append(keys, k)
+	old := &prof.Metrics{Source: "bench", Sim: map[string]float64{}}
+	cur := &prof.Metrics{Source: "bench", Sim: map[string]float64{}}
+	for k, v := range latest.Sim {
+		if rv, ok := ref[k]; ok {
+			old.Sim[k], cur.Sim[k] = rv, v
 		}
 	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
+	if len(old.Sim) == 0 {
 		fmt.Fprintf(stdout, "note: run %s shares no FOMs with %s; trend only\n", latest.ID, *baseline)
 		return 0
 	}
-	regressions := 0
-	for _, k := range keys {
-		ov, nv := ref[k], latest.Sim[k]
-		den := ov
-		if den < 0 {
-			den = -den
-		}
-		if den < 1e-300 {
-			den = 1e-300
-		}
-		rel := (nv - ov) / den
-		abs := rel
-		if abs < 0 {
-			abs = -abs
-		}
-		if abs > *relTol {
-			regressions++
-			fmt.Fprintf(stdout, "FAIL %s: baseline %.6g -> run %s %.6g (%+.2f%%)\n", k, ov, latest.ID, nv, rel*100)
-		}
+	res := prof.Diff(old, cur, prof.DiffOptions{RelTol: *relTol, PerMetric: perMetric})
+	for _, d := range res.Regressions {
+		fmt.Fprintf(stdout, "FAIL %s: baseline %.6g -> run %s %.6g (%+.2f%%)\n", d.Metric, d.Old, latest.ID, d.New, d.Rel*100)
 	}
-	if regressions > 0 {
-		fmt.Fprintf(stderr, "pvcprof history: %d FOM regression(s) in run %s vs %s\n", regressions, latest.ID, *baseline)
+	if n := len(res.Regressions); n > 0 {
+		fmt.Fprintf(stderr, "pvcprof history: %d FOM regression(s) in run %s vs %s\n", n, latest.ID, *baseline)
 		return 1
 	}
-	fmt.Fprintf(stdout, "ok: run %s matches %s on %d shared FOM(s)\n", latest.ID, *baseline, len(keys))
+	fmt.Fprintf(stdout, "ok: run %s matches %s on %d shared FOM(s)\n", latest.ID, *baseline, len(old.Sim))
 	return 0
 }

@@ -156,3 +156,25 @@ func TestHistoryBadInputsExit2(t *testing.T) {
 		t.Fatalf("no argument: exit %d, want 2", code)
 	}
 }
+
+// TestHistoryMetricTolMatchesDiff: history and diff share one drift
+// rule, so a -metric-tol that admits a drift in diff admits the same
+// drift in history, and a tighter one fails both.
+func TestHistoryMetricTolMatchesDiff(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "history.jsonl")
+	writeJournal(t, journal, historyRec("r0001", "clover-scaling", 100, 90))
+	baseline := writeFile(t, dir, "BENCH_baseline.json", benchJSON(100))
+	current := writeFile(t, dir, "current.json", benchJSON(90))
+	const key = "cloverleaf:grind/cell@Aurora"
+
+	for tol, want := range map[string]int{"0.2": 0, "0.05": 1} {
+		var out, errb bytes.Buffer
+		diff := run([]string{"diff", "-metric-tol", key + "=" + tol, baseline, current}, &out, &errb)
+		hist := run([]string{"history", "-baseline", baseline, "-metric-tol", key + "=" + tol, journal}, &out, &errb)
+		if diff != want || hist != want {
+			t.Errorf("-metric-tol %s: diff exit %d, history exit %d, want both %d\n%s%s",
+				tol, diff, hist, want, out.String(), errb.String())
+		}
+	}
+}

@@ -135,23 +135,21 @@ func runWallRender(args []string, stdout, stderr io.Writer, name string,
 	return 0
 }
 
-// loadProfile reads a -profile export.
+// loadProfile reads a -profile export, decoding the file once. Any
+// other export (metrics dump, bench records, wall self-profile) lacks
+// the profile's schema_version and is refused by name.
 func loadProfile(path string) (*prof.Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := prof.ParseMetrics(data)
-	if err != nil {
-		return nil, err
-	}
-	if m.Source != "profile" {
-		return nil, fmt.Errorf("%s is a %s export; report/flame need a -profile file", path, m.Source)
-	}
-	// Re-decode as a profile now that the shape is confirmed.
 	var p prof.Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, err
+	if err := json.Unmarshal(data, &p); err != nil || p.SchemaVersion == 0 {
+		return nil, fmt.Errorf("%s is not a -profile export; report/flame need a -profile file", path)
+	}
+	if p.SchemaVersion != prof.SchemaVersion {
+		return nil, fmt.Errorf("%s: profile schema %d, this build understands %d",
+			path, p.SchemaVersion, prof.SchemaVersion)
 	}
 	return &p, nil
 }
@@ -180,11 +178,9 @@ func runRender(args []string, stdout, stderr io.Writer, name string,
 	return 0
 }
 
-func runDiff(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("pvcprof diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	relTol := fs.Float64("rel-tol", 0,
-		"relative tolerance for simulated metrics (0 = exact: any drift fails)")
+// metricTolFlag registers the repeatable -metric-tol name=reltol flag
+// that diff and history share, and returns the map it fills.
+func metricTolFlag(fs *flag.FlagSet) map[string]float64 {
 	perMetric := map[string]float64{}
 	fs.Func("metric-tol", "per-metric override, `name=reltol` (repeatable)", func(v string) error {
 		name, val, ok := strings.Cut(v, "=")
@@ -198,6 +194,15 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		perMetric[name] = tol
 		return nil
 	})
+	return perMetric
+}
+
+func runDiff(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pvcprof diff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	relTol := fs.Float64("rel-tol", 0,
+		"relative tolerance for simulated metrics (0 = exact: any drift fails)")
+	perMetric := metricTolFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

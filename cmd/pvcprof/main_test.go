@@ -256,6 +256,17 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 			t.Fatalf("stderr:\n%s", errb.String())
 		}
 	}
+
+	// report on a wall profile names the file it needs, not diff's
+	// refusal.
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"report", a}, &out, &errb); code != 2 {
+		t.Fatalf("report on a wall profile: exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "need a -profile file") || strings.Contains(errb.String(), "not diffed") {
+		t.Fatalf("stderr:\n%s", errb.String())
+	}
 }
 
 // TestDiffCommittedLaneRecord diffs the committed bench records against

@@ -3,6 +3,7 @@ package prof
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -125,11 +126,11 @@ type DiffOptions struct {
 type DiffLine struct {
 	Metric   string
 	Old, New float64
-	Rel      float64 // |new−old| / max(|old|, 1e-300)
+	Rel      float64 // signed: (new−old) / max(|old|, 1e-300)
 }
 
 func (d DiffLine) String() string {
-	return fmt.Sprintf("%s: %.6g -> %.6g (%+.2f%%)", d.Metric, d.Old, d.New, relSigned(d.Old, d.New)*100)
+	return fmt.Sprintf("%s: %.6g -> %.6g (%+.2f%%)", d.Metric, d.Old, d.New, d.Rel*100)
 }
 
 func relSigned(old, new float64) float64 {
@@ -202,10 +203,7 @@ func Diff(old, new *Metrics, opt DiffOptions) *DiffResult {
 		}
 		ov := old.Sim[n]
 		rel := relSigned(ov, nv)
-		if rel < 0 {
-			rel = -rel
-		}
-		if rel > opt.tolFor(n) {
+		if math.Abs(rel) > opt.tolFor(n) {
 			res.Regressions = append(res.Regressions, DiffLine{Metric: n, Old: ov, New: nv, Rel: rel})
 		}
 	}

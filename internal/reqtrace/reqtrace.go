@@ -148,9 +148,9 @@ func (tr *Trace) AddSpan(name, detail string, start int64) {
 	tr.AddSpanAt(name, detail, start, tr.clock())
 }
 
-// AddSpanAt records a span with explicit endpoints — used to refine a
-// recorded interval after the fact (pvcd splits a cell's compute span
-// into build and simulate using the run's wallprof phase durations).
+// AddSpanAt records a span with explicit endpoints, both Now readings
+// (pvcd's wall-clock collector reads this clock and writes each cell's
+// build and simulate phase through here as the phase ends).
 func (tr *Trace) AddSpanAt(name, detail string, start, end int64) {
 	tr.mu.Lock()
 	tr.spans = append(tr.spans, Span{Name: name, Detail: detail, Start: start, End: end})

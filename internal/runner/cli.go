@@ -87,11 +87,6 @@ func (f *ObsFlags) Attach(rs ...*Runner) {
 	}
 }
 
-// WallCollector returns the wall-clock collector Attach created (nil
-// when no wall output was requested), so daemons can feed its totals
-// into live telemetry after a run.
-func (f *ObsFlags) WallCollector() *wallprof.Collector { return f.wc }
-
 // Finish writes the requested trace and metrics files and, when summary
 // is non-nil, the human-facing per-cell table. It is a no-op when
 // nothing was attached.

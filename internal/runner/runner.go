@@ -114,10 +114,6 @@ func (r *Runner) Collector() *obs.Collector { return r.col }
 // with or without it. Pass nil to detach.
 func (r *Runner) ProfileWall(c *wallprof.Collector) { r.wall = c }
 
-// WallProfiler returns the attached wall-clock collector (nil when
-// disabled).
-func (r *Runner) WallProfiler() *wallprof.Collector { return r.wall }
-
 // RunOne executes one cell (or returns its memoized result). The first
 // caller for a key computes it on a fresh machine; concurrent callers for
 // the same key wait for that computation rather than duplicating it.

@@ -63,9 +63,9 @@ type Telemetry struct {
 	// Simulated-observability health re-exported for scraping.
 	OrphanFinishes *Gauge
 
-	// Runner phase wall time, fed per run from the wall-clock
-	// self-profiling layer (ObserveEngine); the simulate phase is the
-	// engine's host time.
+	// Runner phase wall time, fed per run by pvcd from the wall-clock
+	// self-profiling layer's report; the simulate phase is the engine's
+	// host time.
 	PhaseWall *HistogramVec // by phase: build | simulate | export | cache-wait
 }
 
@@ -113,35 +113,6 @@ func New() *Telemetry {
 		PhaseWall: reg.HistogramVec("pvcsim_runner_phase_seconds",
 			"wall-clock runner phase durations, by phase (build, simulate, export, cache-wait)",
 			WallBuckets, "phase"),
-	}
-}
-
-// EngineRunStats is one run's wall-clock self-profile totals, shaped so
-// wallprof.Totals satisfies it field-for-field without telemetry
-// importing wallprof (the daemon copies the values across
-// structurally). All durations are wall-clock seconds.
-type EngineRunStats struct {
-	BuildSeconds     []float64 // one sample per cell
-	SimulateSeconds  []float64
-	CacheWaitSeconds []float64 // one sample per memo-served cell
-	ExportSeconds    float64
-}
-
-// ObserveEngine folds one run's self-profile totals into the scrapeable
-// runner phase histogram. Like every telemetry input it is a pure
-// wall-clock side channel.
-func (t *Telemetry) ObserveEngine(s EngineRunStats) {
-	for _, b := range s.BuildSeconds {
-		t.PhaseWall.With("build").Observe(b)
-	}
-	for _, sim := range s.SimulateSeconds {
-		t.PhaseWall.With("simulate").Observe(sim)
-	}
-	for _, cw := range s.CacheWaitSeconds {
-		t.PhaseWall.With("cache-wait").Observe(cw)
-	}
-	if s.ExportSeconds > 0 {
-		t.PhaseWall.With("export").Observe(s.ExportSeconds)
 	}
 }
 

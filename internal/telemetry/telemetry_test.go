@@ -73,32 +73,6 @@ func TestRunnerHooksFeedMetrics(t *testing.T) {
 	}
 }
 
-// TestObserveEngine folds one run's self-profile totals into the runner
-// phase histogram and checks the page still strict-parses.
-func TestObserveEngine(t *testing.T) {
-	tele := New()
-	tele.ObserveEngine(EngineRunStats{
-		BuildSeconds:    []float64{0.01},
-		SimulateSeconds: []float64{0.4},
-		ExportSeconds:   0.02,
-	})
-	tele.ObserveEngine(EngineRunStats{SimulateSeconds: []float64{0.1, 0.2}}) // runs accumulate
-	var page bytes.Buffer
-	if err := tele.WritePrometheus(&page); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParseMetrics(bytes.NewReader(page.Bytes()))
-	if err != nil {
-		t.Fatalf("engine metrics page does not parse: %v\n%s", err, page.String())
-	}
-	for phase, want := range map[string]float64{"build": 1, "simulate": 3, "export": 1} {
-		if got, ok := fams.Value("pvcsim_runner_phase_seconds_count",
-			map[string]string{"phase": phase}); !ok || got != want {
-			t.Errorf("phase_seconds_count{%s} = %v (present=%v), want %g", phase, got, ok, want)
-		}
-	}
-}
-
 // TestOrphanGauge folds orphan counts into the gauge.
 func TestOrphanGauge(t *testing.T) {
 	tele := New()

@@ -46,6 +46,7 @@ func wallClock() Clock {
 // key).
 type Collector struct {
 	clock    Clock
+	sink     SpanSink
 	timeline bool
 
 	mu       sync.Mutex
@@ -62,6 +63,23 @@ func NewWithClock(c Clock) *Collector {
 	return &Collector{clock: c, cells: map[obs.Key]*CellProf{}}
 }
 
+// SpanSink receives each build and simulate interval as the phase
+// ends. *reqtrace.Trace satisfies it.
+type SpanSink interface {
+	Now() int64
+	AddSpanAt(name, detail string, start, end int64)
+}
+
+// NewOnTrace builds a collector on the sink's clock that also records
+// every cell's build and simulate interval into the sink, tagged
+// "workload @ system". Both records then come from the same clock
+// readings: the phases are timed once.
+func NewOnTrace(t SpanSink) *Collector {
+	c := NewWithClock(t.Now)
+	c.sink = t
+	return c
+}
+
 // EnableTimeline buffers individual engine-run and phase intervals (not
 // just aggregates) so the report can render a wall-time Chrome trace.
 // Costs memory proportional to the number of engine runs; leave off
@@ -74,7 +92,7 @@ func (c *Collector) Cell(k obs.Key) *CellProf {
 	defer c.mu.Unlock()
 	cp, ok := c.cells[k]
 	if !ok {
-		cp = &CellProf{key: k, clock: c.clock, timeline: c.timeline}
+		cp = &CellProf{key: k, clock: c.clock, sink: c.sink, timeline: c.timeline}
 		c.cells[k] = cp
 	}
 	return cp
@@ -83,12 +101,9 @@ func (c *Collector) Cell(k obs.Key) *CellProf {
 // Now reads the collector's clock; pair it with AddExportNS.
 func (c *Collector) Now() int64 { return c.clock() }
 
-// AddExport folds the run-level export phase (writing trace/metrics/
-// profile files) into the collector. Called once by the CLI layer.
-func (c *Collector) AddExport(d time.Duration) { c.AddExportNS(int64(d)) }
-
-// AddExportNS is AddExport for a raw nanosecond interval measured with
-// the collector's own clock (Now readings).
+// AddExportNS folds the run-level export phase (writing trace/metrics/
+// profile files), measured between two Now readings, into the
+// collector.
 func (c *Collector) AddExportNS(ns int64) {
 	c.mu.Lock()
 	c.exportNS += ns
@@ -102,6 +117,7 @@ func (c *Collector) AddExportNS(ns int64) {
 type CellProf struct {
 	key      obs.Key
 	clock    Clock
+	sink     SpanSink
 	timeline bool
 
 	mu          sync.Mutex
@@ -120,7 +136,8 @@ type phaseSpan struct {
 }
 
 // addPhase accumulates a phase duration (and its interval in timeline
-// mode). start is a clock reading taken by the caller via Now.
+// mode, and into the sink when there is one). start is a clock reading
+// taken by the caller via Now.
 func (cp *CellProf) addPhase(name string, total *int64, start int64) {
 	end := cp.clock()
 	cp.mu.Lock()
@@ -129,6 +146,9 @@ func (cp *CellProf) addPhase(name string, total *int64, start int64) {
 		cp.phases = append(cp.phases, phaseSpan{name: name, start: start, end: end})
 	}
 	cp.mu.Unlock()
+	if cp.sink != nil {
+		cp.sink.AddSpanAt(name, cp.key.Workload+" @ "+cp.key.System, start, end)
+	}
 }
 
 // Now reads the collector's clock; pair it with AddBuild/AddSimulate.

@@ -3,6 +3,7 @@ package wallprof_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestPhaseTimings(t *testing.T) {
 	cp.AddBuild(cp.Now())
 	cp.AddSimulate(cp.Now())
 	cp.AddCacheHit(cp.Now())
-	c.AddExport(3 * time.Millisecond)
+	c.AddExportNS(int64(3 * time.Millisecond))
 	cell := c.Report().Cells[0]
 	if cell.BuildMS <= 0 || cell.SimulateMS <= 0 || cell.CacheWaitMS <= 0 {
 		t.Errorf("phase timings not recorded: %+v", cell)
@@ -185,21 +186,31 @@ func TestChromeTraceTimeline(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
-	c := wallprof.NewWithClock(tickClock())
-	cp := c.Cell(obs.Key{Workload: "w", System: "s"})
+// spanSink records the spans a collector writes into it.
+type spanSink struct {
+	clock wallprof.Clock
+	spans []string
+}
+
+func (s *spanSink) Now() int64 { return s.clock() }
+
+func (s *spanSink) AddSpanAt(name, detail string, start, end int64) {
+	s.spans = append(s.spans, fmt.Sprintf("%s %s %d-%d", name, detail, start, end))
+}
+
+// TestNewOnTraceRecordsPhaseSpans: a collector built on a sink reads the
+// sink's clock and writes each build and simulate interval into it as
+// the phase ends; cache waits write nothing.
+func TestNewOnTraceRecordsPhaseSpans(t *testing.T) {
+	sink := &spanSink{clock: tickClock()}
+	c := wallprof.NewOnTrace(sink)
+	cp := c.Cell(obs.Key{Workload: "w", System: "s", Params: "n=2"})
 	cp.AddBuild(cp.Now())
 	cp.AddSimulate(cp.Now())
-	c.Cell(obs.Key{Workload: "w", System: "t"}).AddCacheHit(cp.Now())
-	tot := c.Report().Totals()
-	if len(tot.BuildSeconds) != 2 || len(tot.SimulateSeconds) != 2 {
-		t.Errorf("totals = %+v, want one build and simulate sample per cell", tot)
-	}
-	if tot.BuildSeconds[0] <= 0 || tot.SimulateSeconds[0] <= 0 {
-		t.Errorf("totals = %+v, want the profiled cell's phases populated", tot)
-	}
-	if len(tot.CacheWaitSeconds) != 1 {
-		t.Errorf("cache-wait samples = %d, want 1 (one memo-served cell)", len(tot.CacheWaitSeconds))
+	cp.AddCacheHit(cp.Now())
+	want := []string{"build w @ s 1000-2000", "simulate w @ s 3000-4000"}
+	if strings.Join(sink.spans, "; ") != strings.Join(want, "; ") {
+		t.Errorf("sink spans = %q, want %q", sink.spans, want)
 	}
 }
 

@@ -122,7 +122,12 @@ grep -q "\"id\":\"$RUN_ID\"" "$WORKDIR/history.json" || {
 
 echo "== the request-trace export is served"
 curl -fsS "http://$ADDR/v1/reqtrace" >"$WORKDIR/reqtrace.json"
-grep -q '"queue-wait"' "$WORKDIR/reqtrace.json"
+for span in queue-wait build simulate; do
+  grep -q "\"$span\"" "$WORKDIR/reqtrace.json" || {
+    echo "/v1/reqtrace has no \"$span\" span" >&2
+    exit 1
+  }
+done
 
 echo "== scrape /metrics and strict-parse it"
 curl -fsS "http://$ADDR/metrics" >"$WORKDIR/metrics.txt"
