@@ -96,9 +96,10 @@ bench-record: build
 # The zero-alloc test pins the disabled wall-probe path first: every
 # simulation pays the nil-probe hook sites, so they must stay a single
 # pointer compare — no allocations (DESIGN.md §14). The allocation
-# budgets pin the engine hot path: one unobserved StartD2D+Wait and one
-# clover-strong cell, so a label or name formatted per transfer fails
-# here (DESIGN.md §11).
+# budgets pin the engine hot path: one unobserved StartD2D+Wait, one
+# clover-strong cell and one Aurora machine build, so a label or name
+# formatted per transfer, or an allocation added per link, fails here
+# (DESIGN.md §11).
 bench-check: build
 	$(GO) test -run TestWallprobeNilPathZeroAlloc ./internal/sim/
 	$(GO) test -run TestAllocBudget ./internal/gpusim/ ./internal/workload/

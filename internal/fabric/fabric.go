@@ -21,18 +21,28 @@ import (
 )
 
 // Constraint is one bandwidth capacity shared by the flows crossing it.
+// A link's pipes share the link's name string and add their direction
+// only when Name is called.
 type Constraint struct {
-	Name     string
+	name     string
 	capacity float64 // bytes per second
-	flows    int     // flows currently crossing it
+	flows    int32   // flows currently crossing it
+	pipe     uint8   // index into pipeSuffix
 }
+
+// pipeSuffix holds the name suffixes of a standalone constraint (none)
+// and of a link's three pipes.
+var pipeSuffix = [4]string{"", "/fwd", "/duplex", "/rev"}
+
+// Name returns the constraint's name.
+func (c *Constraint) Name() string { return c.name + pipeSuffix[c.pipe] }
 
 // Capacity returns the constraint's capacity.
 func (c *Constraint) Capacity() units.ByteRate { return units.ByteRate(c.capacity) }
 
 // ActiveFlows returns the number of flows currently crossing the
 // constraint.
-func (c *Constraint) ActiveFlows() int { return c.flows }
+func (c *Constraint) ActiveFlows() int { return int(c.flows) }
 
 // Flow is one in-flight transfer.
 type Flow struct {
@@ -66,9 +76,57 @@ type Network struct {
 	flows   []*Flow // live flows in admission order
 	drained []*Flow // reschedule's scratch buffer, empty between calls
 	lastT   units.Seconds
-	gen     uint64 // invalidates stale completion events
+	gen     uint64      // invalidates stale completion checks
+	spare   []*netEvent // recycled events
 	epsilon float64
 	obs     obs.Recorder
+}
+
+// netEvent is one of the network's own scheduled events: the admission
+// of a flow whose latency has elapsed (flow set), or a check for the
+// next flow completion. Each reschedule supersedes the previous check by
+// bumping the network's generation, so a check whose generation is
+// stale does nothing when it fires. Events are recycled once fired; fire
+// is bound once, when the struct is first allocated.
+type netEvent struct {
+	n    *Network
+	flow *Flow
+	gen  uint64
+	fire func()
+}
+
+// run is the event's callback.
+func (ev *netEvent) run() {
+	n, f, stale := ev.n, ev.flow, ev.gen != ev.n.gen
+	ev.flow = nil
+	n.spare = append(n.spare, ev)
+	switch {
+	case f != nil:
+		n.admitPending(f)
+	case !stale:
+		n.advance()
+		n.reschedule()
+	}
+}
+
+// schedule queues a network event after delay, reusing a fired one when
+// one is spare: the admission of f, or a completion check when f is nil.
+func (n *Network) schedule(delay units.Seconds, f *Flow) {
+	var ev *netEvent
+	if k := len(n.spare); k > 0 {
+		ev = n.spare[k-1]
+		n.spare[k-1] = nil
+		n.spare = n.spare[:k-1]
+	} else {
+		ev = &netEvent{n: n}
+		ev.fire = ev.run
+	}
+	ev.flow = f
+	if f == nil {
+		n.gen++
+		ev.gen = n.gen
+	}
+	n.eng.Schedule(delay, ev.fire)
 }
 
 // Observe attaches a recorder; every completed flow is emitted as a
@@ -96,9 +154,13 @@ func NewNetwork(eng *sim.Engine) *Network {
 // rejected.
 func (n *Network) NewConstraint(name string, cap units.ByteRate) (*Constraint, error) {
 	if cap <= 0 {
-		return nil, fmt.Errorf("fabric: constraint %q needs positive capacity", name)
+		return nil, capacityErr(name)
 	}
-	return &Constraint{Name: name, capacity: float64(cap)}, nil
+	return &Constraint{name: name, capacity: float64(cap)}, nil
+}
+
+func capacityErr(name string) error {
+	return fmt.Errorf("fabric: constraint %q needs positive capacity", name)
 }
 
 // MustConstraint is NewConstraint for static topologies where a failure is
@@ -147,24 +209,23 @@ func (n *Network) StartBound(label Label, bound string, size units.Bytes, latenc
 	}
 	if latency > 0 {
 		f := n.newFlow(label, bound, size, cs)
-		n.eng.Schedule(latency, func() {
-			if f.remaining <= 0 {
-				n.completePending(f)
-				return
-			}
-			n.advance()
-			n.admit(f)
-			n.reschedule()
-		})
+		n.schedule(latency, f)
 		return f
 	}
 	return n.start(label, bound, size, cs)
 }
 
-// completePending finishes a latency-only flow.
-func (n *Network) completePending(f *Flow) {
-	f.finished = true
-	f.done.Fire()
+// admitPending admits a flow whose latency has elapsed, or finishes it
+// when it is latency-only.
+func (n *Network) admitPending(f *Flow) {
+	if f.remaining <= 0 {
+		f.finished = true
+		f.done.Fire()
+		return
+	}
+	n.advance()
+	n.admit(f)
+	n.reschedule()
 }
 
 // Wait blocks the process until the flow completes.
@@ -281,15 +342,7 @@ func (n *Network) reschedule() {
 		now := float64(n.eng.Now())
 		resolution := math.Nextafter(now, math.Inf(1)) - now
 		if soonest >= resolution {
-			n.gen++
-			gen := n.gen
-			n.eng.Schedule(units.Seconds(soonest), func() {
-				if gen != n.gen {
-					return // a newer event supersedes this one
-				}
-				n.advance()
-				n.reschedule()
-			})
+			n.schedule(units.Seconds(soonest), nil)
 			return
 		}
 		// Sub-resolution completions: drain them in place and loop.
@@ -327,13 +380,16 @@ func (n *Network) Active() int { return len(n.flows) }
 // physical interconnect port, built from a hw.LinkSpec. Transfers in one
 // direction see the per-direction sustained capacity; simultaneous
 // opposite-direction transfers are additionally limited by the duplex
-// constraint (DuplexFactor × sustained).
+// constraint (DuplexFactor × sustained). The constraints live inside the
+// Link and take their names from it, so building one is one allocation.
 type Link struct {
 	Name    string
 	Fwd     *Constraint // e.g. host-to-device
 	Rev     *Constraint // e.g. device-to-host
 	Duplex  *Constraint
 	Latency units.Seconds
+	pipes   [3]Constraint  // fwd, duplex, rev, in pipeSuffix order
+	dirs    [3]*Constraint // Fwd, Duplex, Rev: each direction is a two-element window
 }
 
 // NewLink constructs the pipes for one port.
@@ -341,20 +397,26 @@ func NewLink(n *Network, name string, sustained units.ByteRate, duplexFactor flo
 	if duplexFactor <= 0 {
 		duplexFactor = 2
 	}
-	return &Link{
-		Name:    name,
-		Fwd:     n.MustConstraint(name+"/fwd", sustained),
-		Rev:     n.MustConstraint(name+"/rev", sustained),
-		Duplex:  n.MustConstraint(name+"/duplex", units.ByteRate(float64(sustained)*duplexFactor)),
-		Latency: latency,
+	l := &Link{Name: name, Latency: latency}
+	caps := [3]units.ByteRate{sustained, units.ByteRate(float64(sustained) * duplexFactor), sustained}
+	for i, c := range caps {
+		l.pipes[i] = Constraint{name: name, capacity: float64(c), pipe: uint8(i + 1)}
+		if c <= 0 {
+			panic(capacityErr(l.pipes[i].Name()))
+		}
+		l.dirs[i] = &l.pipes[i]
 	}
+	l.Fwd, l.Duplex, l.Rev = l.dirs[0], l.dirs[1], l.dirs[2]
+	return l
 }
 
 // Dir selects the constraint set for one direction of the link: the
-// directional pipe plus the shared duplex cap.
+// directional pipe plus the shared duplex cap. The set is a window on
+// the link's own array with no spare capacity, so it costs no allocation
+// and an append to it copies instead of overwriting the link.
 func (l *Link) Dir(reverse bool) []*Constraint {
 	if reverse {
-		return []*Constraint{l.Rev, l.Duplex}
+		return l.dirs[1:3:3]
 	}
-	return []*Constraint{l.Fwd, l.Duplex}
+	return l.dirs[0:2:2]
 }

@@ -77,13 +77,12 @@ func TestFlowSpanNames(t *testing.T) {
 }
 
 // d2dAllocBudget is the allocation count of one unobserved StartD2D and
-// Wait on a sibling stack, pinned at the measured value. Most of it is
-// the process and the engine run around the transfer; the transfer adds
-// the flow, its direction set, its latency and completion closures, its
-// waiter list and the wake-up closure. A label or signal name formatted
-// on the unobserved path adds at least one allocation and fails the
-// test.
-const d2dAllocBudget = 15
+// Wait on a sibling stack, pinned at the measured value: the process,
+// its resume channel and the flow. The direction set, the latency and
+// completion events, the waiter list and the wake-up cost nothing. A
+// label or signal name formatted on the unobserved path adds at least
+// one allocation and fails the test.
+const d2dAllocBudget = 3
 
 func TestAllocBudgetUnobservedD2D(t *testing.T) {
 	m := MustNew(topology.NewAurora())
@@ -108,5 +107,23 @@ func TestAllocBudgetUnobservedD2D(t *testing.T) {
 	run() // warm the event free-list and the flow set
 	if got := testing.AllocsPerRun(200, run); got > d2dAllocBudget {
 		t.Errorf("unobserved StartD2D+Wait: %.1f allocs per run, budget %d", got, d2dAllocBudget)
+	}
+}
+
+// auroraBuildAllocBudget is the allocation count of building the Aurora
+// node (6 cards, 12 stacks, 72 links), pinned at the measured value. The
+// runner builds a fresh machine per cell, so an allocation added per
+// link or per stack at build time fails the test.
+const auroraBuildAllocBudget = 353
+
+func TestAllocBudgetBuildAurora(t *testing.T) {
+	node := topology.NewAurora()
+	build := func() {
+		if _, err := New(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(20, build); got > auroraBuildAllocBudget {
+		t.Errorf("gpusim.New(Aurora): %.0f allocs per build, budget %d", got, auroraBuildAllocBudget)
 	}
 }

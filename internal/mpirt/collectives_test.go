@@ -10,7 +10,8 @@ import (
 )
 
 // runCollective spawns the body on nranks Aurora ranks and requires a
-// clean (deadlock-free) completion.
+// clean (deadlock-free) completion that leaves every inbox empty: a
+// matched message leaves its inbox, so none outlives its receive.
 func runCollective(t *testing.T, nranks int, body func(p *sim.Proc, r *Rank)) {
 	t.Helper()
 	c := auroraComm(t, nranks)
@@ -24,6 +25,11 @@ func runCollective(t *testing.T, nranks int, body func(p *sim.Proc, r *Rank)) {
 	}
 	if done != nranks {
 		t.Fatalf("only %d of %d ranks completed", done, nranks)
+	}
+	for _, r := range c.ranks {
+		if n := len(r.inbox); n != 0 {
+			t.Fatalf("rank %d inbox holds %d received messages after the run", r.rank, n)
+		}
 	}
 }
 

@@ -36,7 +36,6 @@ type message struct {
 	tag      int
 	size     units.Bytes
 	flow     *fabric.Flow
-	claimed  bool
 }
 
 // Rank is one MPI process.
@@ -161,10 +160,17 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, size units.Bytes) (*Request, err
 	if err != nil {
 		return nil, err
 	}
-	msg := &message{src: r.rank, dst: dst, tag: tag, size: size, flow: flow}
-	peer.inbox = append(peer.inbox, msg)
+	// One allocation holds both the message and the send request.
+	op := &struct {
+		msg message
+		req Request
+	}{
+		msg: message{src: r.rank, dst: dst, tag: tag, size: size, flow: flow},
+		req: Request{kind: 's', rank: r, flow: flow, tag: tag},
+	}
+	peer.inbox = append(peer.inbox, &op.msg)
 	peer.newMsg.Fire()
-	return &Request{kind: 's', rank: r, flow: flow, tag: tag}, nil
+	return &op.req, nil
 }
 
 // Irecv posts a non-blocking receive matching (src, tag). src may be
@@ -182,19 +188,22 @@ const AnySource = -1
 // AnyTag matches any tag.
 const AnyTag = -1
 
-// findMatch claims the first unclaimed inbox message matching the request.
+// findMatch takes the first inbox message matching the request out of
+// the inbox. The rest keep their arrival order, so later receives match
+// as if the taken message were still there and skipped.
 func (req *Request) findMatch() *message {
-	for _, m := range req.rank.inbox {
-		if m.claimed {
-			continue
-		}
+	inbox := req.rank.inbox
+	for i, m := range inbox {
 		if req.src != AnySource && m.src != req.src {
 			continue
 		}
 		if req.tag != AnyTag && m.tag != req.tag {
 			continue
 		}
-		m.claimed = true
+		last := len(inbox) - 1
+		copy(inbox[i:], inbox[i+1:])
+		inbox[last] = nil
+		req.rank.inbox = inbox[:last]
 		return m
 	}
 	return nil

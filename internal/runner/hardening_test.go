@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pvcsim/internal/gpusim"
+	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/workload"
 )
@@ -58,6 +59,34 @@ func TestPanicRecovered(t *testing.T) {
 		t.Fatalf("panicking workload ran %d times, want 1", runs.Load())
 	}
 }
+
+// TestProcessPanicRecovered covers a panic inside a simulation process
+// body, which runs on a goroutine of its own: it must surface as a
+// *PanicError with the original value and the stack of the panicking
+// process, not kill the test binary.
+func TestProcessPanicRecovered(t *testing.T) {
+	w := workload.New("panicky-proc", "", "", topology.AllSystems(),
+		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+			m.Go("bomb", func(p *sim.Proc) {
+				p.Hold(1e-6)
+				explode()
+			})
+			return workload.Result{}, m.Run()
+		})
+	_, err := New(1).RunOne(context.Background(), topology.Aurora, w)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want *PanicError", err, err)
+	}
+	if pe.Value != "process kaboom" {
+		t.Fatalf("panic value = %v, want process kaboom", pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "explode") {
+		t.Fatalf("panic stack does not reach the panicking process:\n%s", pe.Stack)
+	}
+}
+
+func explode() { panic("process kaboom") }
 
 // TestCancelDuringComputeWaitersRetry is the regression test for the
 // cancelled-first-caller bugfix: waiters blocked on a computation whose

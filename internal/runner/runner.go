@@ -17,6 +17,7 @@ import (
 
 	"pvcsim/internal/gpusim"
 	"pvcsim/internal/obs"
+	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/wallprof"
 	"pvcsim/internal/workload"
@@ -215,8 +216,9 @@ func (r *Runner) cell(ctx context.Context, sys topology.System, w workload.Workl
 }
 
 // compute runs the workload on a fresh deterministic machine. A panic
-// in the workload is recovered into a *PanicError carrying the panic
-// value and stack, so one broken cell cannot take down the process.
+// in the workload, in a simulation process body included, is recovered
+// into a *PanicError carrying the panic value and stack, so one broken
+// cell cannot take down the process.
 func (r *Runner) compute(ctx context.Context, sys topology.System, w workload.Workload) (res workload.Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return workload.Result{}, err
@@ -243,7 +245,13 @@ func (r *Runner) compute(ctx context.Context, sys topology.System, w workload.Wo
 	defer func() {
 		if p := recover(); p != nil {
 			res = workload.Result{}
-			err = &PanicError{Workload: w.Name(), System: sys.String(), Value: p, Stack: debug.Stack()}
+			pe := &PanicError{Workload: w.Name(), System: sys.String(), Value: p, Stack: debug.Stack()}
+			// A panic on a simulation process goroutine arrives re-raised
+			// by the engine; report the original value and its stack.
+			if pp, ok := p.(*sim.ProcPanic); ok {
+				pe.Value, pe.Stack = pp.Value, pp.Stack
+			}
+			err = pe
 		}
 	}()
 	if cp != nil {

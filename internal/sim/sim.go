@@ -1,9 +1,26 @@
 // Package sim provides the deterministic discrete-event simulation kernel
-// underlying pvcsim. It supplies a virtual clock, an event queue with
-// stable FIFO tie-breaking, lightweight cooperative processes implemented
-// on goroutines (only one process ever runs at a time, so models need no
-// locking), condition signals, and counting resources with FIFO
-// queueing.
+// underlying pvcsim: a virtual clock, an event queue with stable FIFO
+// tie-breaking, cooperative processes, condition signals, counting
+// resources with FIFO queueing, and barriers.
+//
+// Each process runs on its own goroutine, but only one goroutine holds
+// control at a time, so models need no locking. There is no scheduler
+// goroutine: control passes by direct handoff. Whichever goroutine gives
+// control up — RunUntil's caller on entry, a process blocking in Hold,
+// Wait, Acquire or Arrive, or a process whose body returned — runs the
+// event loop itself. It runs callback events inline until it pops an
+// event that wakes a process. If that process is itself, it just returns;
+// otherwise it sends once on the woken process's resume channel (a
+// process starts its goroutine on its first wake instead) and parks.
+// When no event remains at or before the deadline, the goroutine holding
+// control sends on the engine's finished channel, where RunUntil's caller
+// waits, and RunUntil returns. A wake costs one goroutine switch.
+//
+// A panic in a process body, or in an event callback the loop runs on a
+// process goroutine, is recovered on that goroutine and re-raised in
+// RunUntil's caller as a *ProcPanic carrying the value and the stack of
+// the panic. Callers that contain panics (the runner turns them into
+// errors) see every panic of a run on their own goroutine.
 //
 // The kernel is deliberately small and serial: one heap, one clock, one
 // event loop. Bandwidth-sharing pipes, devices, and interconnects are
@@ -11,9 +28,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -23,15 +40,18 @@ import (
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; call NewEngine.
 type Engine struct {
-	now     units.Seconds
-	queue   eventHeap
-	seq     uint64
-	parked  chan struct{}
-	live    int      // processes started and not yet finished
-	blocked []*Proc  // processes blocked on a signal or resource
-	free    []*event // recycled event structs (allocation churn)
-	tracer  func(t units.Seconds, what string)
-	probe   WallProbe // wall-clock self-profiling hooks; nil = disabled
+	now      units.Seconds
+	deadline units.Seconds // bound of the RunUntil in progress
+	queue    []*event      // binary min-heap on (t, seq)
+	seq      uint64
+	ran      int           // events processed by the RunUntil in progress
+	finished chan struct{} // control returns to RunUntil's caller
+	panicked *ProcPanic    // set by a process goroutine before it returns control
+	live     int           // processes started and not yet finished
+	blocked  []*Proc       // processes blocked on a signal or resource
+	free     []*event      // recycled event structs (allocation churn)
+	tracer   func(t units.Seconds, what string)
+	probe    WallProbe // wall-clock self-profiling hooks; nil = disabled
 }
 
 // maxFreeEvents bounds the event free-list so an engine that once burst
@@ -43,7 +63,7 @@ const maxFreeEvents = 256
 const shrinkMinCap = 64
 
 // NewEngine returns a ready-to-use simulation engine with the clock at 0.
-func NewEngine() *Engine { return &Engine{parked: make(chan struct{})} }
+func NewEngine() *Engine { return &Engine{finished: make(chan struct{})} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Seconds { return e.now }
@@ -52,45 +72,38 @@ func (e *Engine) Now() units.Seconds { return e.now }
 // (process start/finish, resource waits). A nil tracer disables tracing.
 func (e *Engine) SetTracer(fn func(t units.Seconds, what string)) { e.tracer = fn }
 
-// trace emits a tracer callback at the current time.
+// trace emits a tracer callback at the current time. Call sites check
+// e.tracer first, so the variadic arguments are boxed only when a tracer
+// is installed.
 func (e *Engine) trace(format string, args ...any) {
-	if e.tracer != nil {
-		e.tracer(e.now, fmt.Sprintf(format, args...))
-	}
+	e.tracer(e.now, fmt.Sprintf(format, args...))
 }
 
-// event is a scheduled callback.
+// event is a scheduled callback, or the wake-up of a process when proc
+// is set.
 type event struct {
-	t   units.Seconds
-	seq uint64
-	fn  func()
+	t    units.Seconds
+	seq  uint64
+	fn   func()
+	proc *Proc
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+// before is the queue order: time, then admission sequence.
+func (a *event) before(b *event) bool {
 	//pvclint:ignore floateq comparator tie-break must be exact: bit-equal timestamps fall through to seq, and a tolerance would destroy the strict weak ordering the heap requires
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Schedule queues fn to run after delay. A negative delay is clamped to
 // zero. Events at equal times run in scheduling order. Event structs are
 // recycled from a bounded free-list.
-func (e *Engine) Schedule(delay units.Seconds, fn func()) {
+func (e *Engine) Schedule(delay units.Seconds, fn func()) { e.schedule(delay, fn, nil) }
+
+// schedule queues a callback event (fn) or a wake-up of p.
+func (e *Engine) schedule(delay units.Seconds, fn func(), p *Proc) {
 	if delay < 0 {
 		delay = 0
 	}
@@ -108,23 +121,66 @@ func (e *Engine) Schedule(delay units.Seconds, fn func()) {
 	if p := e.probe; p != nil {
 		p.EventAlloc(reused)
 	}
-	ev.t, ev.seq, ev.fn = e.now+delay, e.seq, fn
-	heap.Push(&e.queue, ev)
+	ev.t, ev.seq, ev.fn, ev.proc = e.now+delay, e.seq, fn, p
+	// Sift up from the new leaf.
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	e.queue = q
 }
 
 // pop removes the earliest event, shrinking the heap's backing array once
 // it has drained to a quarter of its capacity.
 func (e *Engine) pop() *event {
-	ev := heap.Pop(&e.queue).(*event)
-	if cap(e.queue) >= shrinkMinCap && len(e.queue) <= cap(e.queue)/4 {
-		shrunk := make(eventHeap, len(e.queue), cap(e.queue)/2)
-		copy(shrunk, e.queue)
-		e.queue = shrunk
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		// Sift the former last leaf down from the root.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	e.queue = q
+	if cap(q) >= shrinkMinCap && n <= cap(q)/4 {
+		e.queue = append(make([]*event, 0, cap(q)/2), q...)
 		if p := e.probe; p != nil {
 			p.HeapShrink()
 		}
 	}
-	return ev
+	return top
+}
+
+// recycle returns a processed event to the free-list.
+func (e *Engine) recycle(ev *event) {
+	ev.fn, ev.proc = nil, nil
+	if len(e.free) < maxFreeEvents {
+		e.free = append(e.free, ev)
+	}
 }
 
 // Run processes events until the queue drains. It returns an error if
@@ -137,25 +193,24 @@ func (e *Engine) Run() error { return e.RunUntil(units.Seconds(math.Inf(1))) }
 // the clock advanced to deadline when the queue empties early (a finite
 // deadline only). Remaining events stay queued; Run or RunUntil may be
 // called again. It returns a deadlock error when live processes remain
-// blocked with no event left to wake them.
+// blocked with no event left to wake them. A panic on a process
+// goroutine is re-raised here as a *ProcPanic.
 func (e *Engine) RunUntil(deadline units.Seconds) error {
-	p := e.probe
-	if p != nil {
-		p.RunStart()
+	probe := e.probe
+	if probe != nil {
+		probe.RunStart()
 	}
-	n := 0
-	for len(e.queue) > 0 && e.queue[0].t <= deadline {
-		ev := e.pop()
-		e.now = ev.t
-		ev.fn()
-		ev.fn = nil
-		if len(e.free) < maxFreeEvents {
-			e.free = append(e.free, ev)
+	e.deadline, e.ran = deadline, 0
+	if p := e.next(); p != nil {
+		e.pass(p)
+		<-e.finished
+		if pp := e.panicked; pp != nil {
+			e.panicked = nil
+			panic(pp)
 		}
-		n++
 	}
-	if p != nil {
-		p.RunEnd(n)
+	if probe != nil {
+		probe.RunEnd(e.ran)
 	}
 	if e.now < deadline && !math.IsInf(float64(deadline), 1) {
 		e.now = deadline
@@ -164,6 +219,44 @@ func (e *Engine) RunUntil(deadline units.Seconds) error {
 		return nil // future events may still wake the blocked
 	}
 	return e.deadlockErr()
+}
+
+// next is the event loop. It runs events in order, callbacks inline on
+// the calling goroutine, until one wakes a process, and returns that
+// process. It returns nil when no event remains at or before the
+// deadline.
+func (e *Engine) next() *Proc {
+	for len(e.queue) > 0 && e.queue[0].t <= e.deadline {
+		ev := e.pop()
+		e.now = ev.t
+		e.ran++
+		if p := ev.proc; p != nil {
+			e.recycle(ev)
+			return p
+		}
+		ev.fn()
+		e.recycle(ev)
+	}
+	return nil
+}
+
+// pass gives control to p, or back to RunUntil's caller when p is nil.
+// It starts p's goroutine on p's first wake and resumes p on every later
+// one. The caller parks (or exits) next.
+func (e *Engine) pass(p *Proc) {
+	switch {
+	case p == nil:
+		e.finished <- struct{}{}
+	case p.body == nil:
+		p.resume <- struct{}{}
+	default:
+		body := p.body
+		p.body = nil
+		if e.tracer != nil {
+			e.trace("start %s", p.name)
+		}
+		go p.run(body)
+	}
 }
 
 // deadlockErr builds the Run error when live processes remain: the total
@@ -221,15 +314,29 @@ func (e *Engine) unblock(p *Proc) {
 type Proc struct {
 	eng      *Engine
 	name     string
-	blocker  blocker // the signal or resource the process waits on; nil when not blocked
-	blockIdx int     // the process's slot in the engine's blocked list
-	resume   chan struct{}
-	done     chan struct{}
+	body     func(*Proc)   // set until the first wake starts the goroutine
+	blocker  blocker       // the signal or resource the process waits on; nil when not blocked
+	blockIdx int           // the process's slot in the engine's blocked list
+	resume   chan struct{} // made when the process first parks
 }
 
 // blocker is what a process can be blocked on: a Signal or a Resource.
 // Its label names it in deadlock diagnostics.
 type blocker interface{ blockerLabel() string }
+
+// ProcPanic is the value RunUntil panics with when a process body, or an
+// event callback running on a process goroutine, panicked: the process,
+// the panic value and the stack of the goroutine at the panic.
+type ProcPanic struct {
+	Proc  string
+	Value any
+	Stack []byte
+}
+
+// Error names the process and the panic value, then gives the stack.
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %s panicked: %v\n\n%s", pp.Proc, pp.Value, pp.Stack)
+}
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
@@ -242,49 +349,54 @@ func (p *Proc) Now() units.Seconds { return p.eng.now }
 
 // Go starts body as a new process at the current virtual time. The body
 // runs cooperatively: it executes until it blocks in Hold, Wait, or
-// Acquire, at which point control returns to the engine.
+// Acquire, at which point control passes on through the event loop.
 func (e *Engine) Go(name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), done: make(chan struct{})}
+	p := &Proc{eng: e, name: name, body: body}
 	e.live++
-	e.Schedule(0, func() {
-		e.trace("start %s", name)
-		go func() {
-			body(p)
-			e.live--
-			e.trace("finish %s", name)
-			close(p.done)
-			e.parked <- struct{}{}
-		}()
-		<-e.parked
-	})
+	e.schedule(0, nil, p)
 	return p
 }
 
-// yield transfers control from the process back to the engine and blocks
-// until the engine resumes this process.
-func (p *Proc) yield() {
-	p.eng.parked <- struct{}{}
-	<-p.resume
+// run is the body of a process goroutine. When the body returns, the
+// goroutine runs the event loop one last time to pass control on. A
+// panic is recovered here and handed to RunUntil's caller.
+func (p *Proc) run(body func(*Proc)) {
+	e := p.eng
+	defer func() {
+		if v := recover(); v != nil {
+			e.panicked = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
+			e.finished <- struct{}{}
+		}
+	}()
+	body(p)
+	e.live--
+	if e.tracer != nil {
+		e.trace("finish %s", p.name)
+	}
+	e.pass(e.next())
 }
 
-// wake resumes p and waits for it to park again. It must only be called
-// from inside an event callback.
-func (e *Engine) wake(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.parked
+// yield gives up control until an event wakes p. The calling goroutine
+// runs the event loop itself; when the next wake-up is p's own, it
+// returns without a goroutine switch.
+func (p *Proc) yield() {
+	e := p.eng
+	q := e.next()
+	if q == p {
+		return
+	}
+	if p.resume == nil {
+		p.resume = make(chan struct{})
+	}
+	e.pass(q)
+	<-p.resume
 }
 
 // Hold suspends the process for d of virtual time.
 func (p *Proc) Hold(d units.Seconds) {
-	e := p.eng
-	e.Schedule(d, func() { e.wake(p) })
+	p.eng.schedule(d, nil, p)
 	p.yield()
 }
-
-// Done returns a channel closed when the process body has returned. It is
-// intended for host-side code inspecting a finished simulation, not for
-// use inside processes.
-func (p *Proc) Done() <-chan struct{} { return p.done }
 
 // Signal is a broadcast condition: processes Wait on it, and Fire wakes
 // every current waiter at the time Fire is called. Later waiters need a
@@ -294,6 +406,7 @@ type Signal struct {
 	name    string
 	namer   Namer // builds the name on demand when set
 	waiters []*Proc
+	inline  [2]*Proc // backing array for the first two waiters
 }
 
 // Namer supplies a signal's name on demand. Signals created per transfer
@@ -327,6 +440,9 @@ func (s *Signal) blockerLabel() string {
 
 // Wait blocks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
+	if s.waiters == nil {
+		s.waiters = s.inline[:0]
+	}
 	s.waiters = append(s.waiters, p)
 	s.eng.block(p, s)
 	p.yield()
@@ -338,9 +454,8 @@ func (s *Signal) Wait(p *Proc) {
 func (s *Signal) Fire() {
 	e := s.eng
 	for i, p := range s.waiters {
-		wp := p
-		e.unblock(wp)
-		e.Schedule(0, func() { e.wake(wp) })
+		e.unblock(p)
+		e.schedule(0, nil, p)
 		s.waiters[i] = nil
 	}
 	s.waiters = s.waiters[:0]
@@ -381,7 +496,9 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	r.queue = append(r.queue, p)
 	r.eng.block(p, r)
-	r.eng.trace("wait %s on %s (%d queued)", p.name, r.name, len(r.queue))
+	if r.eng.tracer != nil {
+		r.eng.trace("wait %s on %s (%d queued)", p.name, r.name, len(r.queue))
+	}
 	p.yield()
 	// When woken, the unit has already been transferred to us by Release.
 }
@@ -404,9 +521,8 @@ func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		head := r.queue[0]
 		r.queue = r.queue[1:]
-		e := r.eng
-		e.unblock(head)
-		e.Schedule(0, func() { e.wake(head) })
+		r.eng.unblock(head)
+		r.eng.schedule(0, nil, head)
 		return // unit transferred, inUse unchanged
 	}
 	r.inUse--

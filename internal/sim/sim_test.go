@@ -481,3 +481,46 @@ func TestTracerOrderDeterministic(t *testing.T) {
 		t.Errorf("tracer log\n got: %s\nwant: %s", s, want)
 	}
 }
+
+// A panic on a process goroutine — in the body, or in an event callback
+// the event loop runs there — reaches RunUntil's caller as a *ProcPanic
+// with the original value and the panicking goroutine's stack.
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	cases := []struct {
+		name, proc string
+		start      func(e *Engine)
+	}{
+		{"body", "bomb", func(e *Engine) {
+			e.Go("bomb", func(p *Proc) {
+				p.Hold(1)
+				panic("boom")
+			})
+		}},
+		{"callback", "holder", func(e *Engine) {
+			e.Go("holder", func(p *Proc) {
+				p.Hold(1)
+				e.Schedule(1, func() { panic("boom") })
+				p.Hold(2) // the holder's goroutine runs the callback
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			tc.start(e)
+			defer func() {
+				pp, ok := recover().(*ProcPanic)
+				if !ok {
+					t.Fatalf("RunUntil did not re-panic with a *ProcPanic")
+				}
+				if pp.Value != "boom" || pp.Proc != tc.proc {
+					t.Errorf("panic = %q in %q, want boom in %q", pp.Value, pp.Proc, tc.proc)
+				}
+				if !strings.Contains(string(pp.Stack), "TestProcessPanicReachesRunCaller") {
+					t.Errorf("stack does not reach the panic site:\n%s", pp.Stack)
+				}
+			}()
+			_ = e.Run()
+		})
+	}
+}

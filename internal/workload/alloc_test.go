@@ -11,10 +11,11 @@ import (
 // cloverStrongAllocBudget is the allocation count of one unobserved
 // clover-strong cell (2-node Aurora, spread placement: cluster build,
 // 24 ranks, halo exchanges over the node-local and inter-node fabric),
-// pinned at the measured value: 5203, and 5205 under the race detector.
+// pinned at the measured value: 1925, and 1926-1928 under the race
+// detector, whose runtime allocations vary with goroutine scheduling.
 // A per-transfer label, a per-wait blocker key or a per-build name
 // formatted with fmt adds hundreds of allocations and fails the test.
-const cloverStrongAllocBudget = 5205
+const cloverStrongAllocBudget = 1928
 
 func TestAllocBudgetCloverStrongCell(t *testing.T) {
 	w := NewCloverStrongCell("clover-strong", topology.Aurora, 2, topology.PlaceSpread)
